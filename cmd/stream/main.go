@@ -151,7 +151,7 @@ func run() int {
 			logger.Error("LTE trace generation failed", "err", err)
 			return 1
 		}
-		cfg.Shape = tr2
+		cfg.Link = tr2
 	}
 	if *netSpec != "" && *netSpec != "off" {
 		if *shaped {
@@ -181,7 +181,7 @@ func run() int {
 			logger.Error("netem path construction failed", "err", err)
 			return 1
 		}
-		cfg.Net = pn
+		cfg.Link = pn
 		logger.Info("packet-level network emulation active",
 			"profile", prof.Name, "estimator", kind.String(), "pace_factor", *netPace)
 	}

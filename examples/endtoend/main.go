@@ -81,7 +81,7 @@ func run() error {
 	client, err := httpstream.NewClient(httpstream.ClientConfig{
 		BaseURL:         baseURL,
 		Phone:           power.Pixel3,
-		Shape:           tr2,
+		Link:            tr2,
 		TimeCompression: 100,
 		MaxSegments:     20,
 		UseMPC:          true,

@@ -168,7 +168,7 @@ func netemCell(setup *videoSetup, prof *netem.Profile, segTrace *lte.Trace, kind
 				PaceFactor: netemPaceFactor,
 			})
 			if err == nil {
-				r, err = sim.RunNetem(setup.catalog, user, pn, cfg)
+				r, err = sim.Run(setup.catalog, user, pn, cfg)
 				if err == nil {
 					st := pn.Stats()
 					row.Packets += st.Packets

@@ -92,10 +92,6 @@ type Config struct {
 	Registry *obs.Registry
 	// Planner selects batched (default) or per-session scalar planning.
 	Planner PlannerMode
-	// BatchNoQuant disables the quantized bucket hash in the batched
-	// planner's grouping (sim.BatchOptions.NoQuant). Diagnostic only:
-	// results are identical either way.
-	BatchNoQuant bool
 	// ViewportSink, when set, receives one viewport report per completed
 	// segment download: the session's trace viewing center for the segment
 	// it just finished. This is the fleet-side feed of the online Ptile
@@ -335,7 +331,7 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 			sh.flight = make([]*obs.FlightSession, n)
 		}
 		if cfg.Planner == PlannerBatched {
-			sh.scratch = sim.NewBatchScratch(sim.BatchOptions{NoQuant: cfg.BatchNoQuant})
+			sh.scratch = sim.NewBatchScratch()
 		}
 		e.shards[si] = sh
 	}

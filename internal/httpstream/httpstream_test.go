@@ -3,6 +3,7 @@ package httpstream
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -284,7 +285,7 @@ func TestClientStreamShaped(t *testing.T) {
 	client, err := NewClient(ClientConfig{
 		BaseURL:         h.server.URL,
 		Phone:           power.Pixel3,
-		Shape:           tr2,
+		Link:            tr2,
 		TimeCompression: 200, // keep the test fast
 		MaxSegments:     6,
 		UseMPC:          true,
@@ -305,6 +306,21 @@ func TestClientStreamShaped(t *testing.T) {
 		if rec.ThroughputBps > 20e6 {
 			t.Fatalf("segment %d throughput %.0f bps: shaping not applied", rec.Segment, rec.ThroughputBps)
 		}
+	}
+	// Each download is charged the trace integrated over the whole transfer,
+	// starting where the previous one ended: exactly the simulator's
+	// download time, bit for bit.
+	start := 0.0
+	for _, rec := range report.Segments {
+		bits := float64(rec.Bytes * 8)
+		dl, err := tr2.DownloadTime(bits, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bits / dl; math.Float64bits(rec.ThroughputBps) != math.Float64bits(want) {
+			t.Fatalf("segment %d throughput %v bps, want %v (trace integrated from t=%v)", rec.Segment, rec.ThroughputBps, want, start)
+		}
+		start += dl
 	}
 }
 

@@ -83,16 +83,19 @@ func (t *Trace) DownloadTime(sizeBits, startSec float64) (float64, error) {
 	if err := t.Validate(); err != nil {
 		return 0, err
 	}
-	return t.DownloadTimeTrusted(sizeBits, startSec)
+	return t.Download(sizeBits, startSec)
 }
 
-// DownloadTimeTrusted is DownloadTime without re-validating the trace on
-// every call. Validation walks every sample, which dominates tight download
-// loops (a fleet step calls this once per segment per session); callers that
-// validated the trace once up front — sim binds traces to sessions through
-// Validate — get identical results without the per-call scan. On a trace
-// that Validate would reject the behaviour is undefined.
-func (t *Trace) DownloadTimeTrusted(sizeBits, startSec float64) (float64, error) {
+// RateAt is At under the name of the sim.Link interface.
+func (t *Trace) RateAt(ts float64) float64 { return t.At(ts) }
+
+// Download is DownloadTime without re-validating the trace on every call —
+// the sim.Link form. Validation walks every sample, which dominates tight
+// download loops (a fleet step downloads once per segment per session);
+// callers that validated the trace once when they bound it get identical
+// results without the per-call scan. On a trace that Validate would reject
+// the behaviour is undefined.
+func (t *Trace) Download(sizeBits, startSec float64) (float64, error) {
 	if sizeBits < 0 {
 		return 0, fmt.Errorf("lte: negative size %g", sizeBits)
 	}

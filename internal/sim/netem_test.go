@@ -102,7 +102,7 @@ func TestRunNetemDeterministicReplay(t *testing.T) {
 		cfg.Estimator = j.kind
 		cfg.RecordSegments = true
 		pn := netemPath(t, j.profile, 1000+int64(j.user))
-		return RunNetem(cat, eval[j.user], pn, cfg)
+		return Run(cat, eval[j.user], pn, cfg)
 	}
 
 	// Serial reference.
@@ -158,7 +158,7 @@ func TestRunNetemDelayGradientGetsPacketFeed(t *testing.T) {
 		}
 		cfg.Estimator = kind
 		pn := netemPath(t, "bufferbloat", 7)
-		r, err := RunNetem(cat, eval[0], pn, cfg)
+		r, err := Run(cat, eval[0], pn, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,13 +187,13 @@ func TestStepBatchSkipsNetemStates(t *testing.T) {
 	var states []*State
 	for u := 0; u < 3; u++ {
 		pn := netemPath(t, "stable", 50) // same seed: states look identical
-		state, err := st.NewStateNetem(eval[0], pn)
+		state, err := st.NewState(eval[0], pn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		states = append(states, state)
 	}
-	sc := NewBatchScratch(BatchOptions{})
+	sc := NewBatchScratch()
 	infos := make([]StepInfo, len(states))
 	stats, err := st.StepBatch(sc, states, infos)
 	if err != nil {
@@ -222,7 +222,7 @@ func TestRunNetemIdealMatchesUnlimitedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	pn := netemPath(t, "ideal", 1)
-	r, err := RunNetem(cat, eval[1], pn, cfg)
+	r, err := Run(cat, eval[1], pn, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"ptile360/internal/abr"
 	"ptile360/internal/geom"
 	"ptile360/internal/headtrace"
-	"ptile360/internal/lte"
-	"ptile360/internal/netem"
 	"ptile360/internal/power"
 	"ptile360/internal/predict"
 	"ptile360/internal/qoe"
@@ -256,97 +254,36 @@ type Result struct {
 
 // session is the shared per-worker workspace behind both Run and the
 // resumable Stepper: the (catalogue, config) runtime plus the recycled
-// planning scratch, with the per-session fields swapped in around each
+// planning scratch. Per-session state lives in State and is passed to each
 // step (see step.go).
 type session struct {
 	cfg        Config
 	cat        *Catalog
-	user       *headtrace.Trace
-	net        *lte.Trace
-	pnet       *netem.SessionNet
 	pm         power.Model
 	mpc        *abr.EnergyMPC
 	qoeMPC     *abr.QoEMPC
 	rate       *abr.RateBased
-	bw         predict.Estimator
 	tab        *planTables
 	lut        *geom.FoVLUT
 	vp         *predict.ViewportPredictor
 	planBufs   []segmentPlan
 	optBufs    [][]abr.OptionMeta
 	horizonBuf []abr.SegmentMeta
-	// decCache, when set by a batch step, memoizes MPC decisions across the
-	// group leaders of one planning tick (see batch.go); nil on the scalar
-	// path.
-	decCache *abr.DecisionCache
-	// rec, when set, receives the step's delta record for follower replay
-	// (see batch.go); nil on the scalar path.
-	rec        *stepDelta
-	xs, ys     []float64
 	fm         float64
-	tWall      float64
-	buffer     float64
-	prevQ0     float64
-	hasPrevQ0  bool
-	prevChoice abr.Option
-	hasPrev    bool
 }
 
-// Run streams the whole video for one evaluation user and returns the
-// session accounting. It is the blocking-loop form of the resumable
-// Stepper/State API: one stepper, one state, stepped to completion.
-func Run(cat *Catalog, user *headtrace.Trace, net *lte.Trace, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cat == nil || len(cat.Content) == 0 {
-		return nil, fmt.Errorf("sim: empty catalogue")
-	}
-	if user == nil || len(user.Samples) == 0 {
-		return nil, fmt.Errorf("sim: empty user trace")
-	}
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
+// Run streams the whole video for one evaluation user over link and returns
+// the session accounting. It is the blocking-loop form of the resumable
+// Stepper/State API: one stepper, one state, stepped to completion. link
+// may be a bandwidth trace (*lte.Trace) or a packet-level path
+// (*netem.SessionNet, which must be fresh: its clock starts at the session
+// origin).
+func Run(cat *Catalog, user *headtrace.Trace, link Link, cfg Config) (*Result, error) {
 	st, err := NewStepper(cat, cfg)
 	if err != nil {
 		return nil, err
 	}
-	state, err := st.NewState(user, net)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		info, err := st.Step(state)
-		if err != nil {
-			return nil, err
-		}
-		if info.Done {
-			break
-		}
-	}
-	return st.Finish(state)
-}
-
-// RunNetem is Run over the packet-level emulated network path: downloads
-// resolve through pn's droptail link schedule instead of a per-second
-// trace, and delay-aware estimators receive packet timing. pn must be
-// fresh (its link clock starts at the session origin).
-func RunNetem(cat *Catalog, user *headtrace.Trace, pn *netem.SessionNet, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cat == nil || len(cat.Content) == 0 {
-		return nil, fmt.Errorf("sim: empty catalogue")
-	}
-	if user == nil || len(user.Samples) == 0 {
-		return nil, fmt.Errorf("sim: empty user trace")
-	}
-	st, err := NewStepper(cat, cfg)
-	if err != nil {
-		return nil, err
-	}
-	state, err := st.NewStateNetem(user, pn)
+	state, err := st.NewState(user, link)
 	if err != nil {
 		return nil, err
 	}
@@ -363,19 +300,20 @@ func RunNetem(cat *Catalog, user *headtrace.Trace, pn *netem.SessionNet, cfg Con
 }
 
 // predictViewport estimates the viewing center for segment k's playback
-// midpoint from the head-movement history available at request time.
-func (s *session) predictViewport(k int) geom.Point {
+// midpoint from the head-movement history available at request time, with
+// buffer seconds of video buffered.
+func (s *session) predictViewport(state *State, k int, buffer float64) geom.Point {
 	// Playback position: seconds of video already watched.
-	played := float64(k)*s.cfg.SegmentSec - s.buffer
+	played := float64(k)*s.cfg.SegmentSec - buffer
 	if played < 0 {
 		played = 0
 	}
 	idx := int(played * headtrace.SampleRate)
 	if idx < 2 {
-		return geom.PointOf(s.user.Samples[0].O)
+		return geom.PointOf(state.user.Samples[0].O)
 	}
-	if idx > len(s.xs) {
-		idx = len(s.xs)
+	if idx > len(state.xs) {
+		idx = len(state.xs)
 	}
 	horizon := (float64(k)+0.5)*s.cfg.SegmentSec - played
 	if horizon < 0 {
@@ -388,11 +326,11 @@ func (s *session) predictViewport(k int) geom.Point {
 		horizon = 1
 	}
 	if s.vp == nil {
-		return geom.PointOf(s.user.Samples[idx-1].O)
+		return geom.PointOf(state.user.Samples[idx-1].O)
 	}
-	p, err := s.vp.Predict(s.xs[:idx], s.ys[:idx], horizon)
+	p, err := s.vp.Predict(state.xs[:idx], state.ys[:idx], horizon)
 	if err != nil {
-		return geom.PointOf(s.user.Samples[idx-1].O)
+		return geom.PointOf(state.user.Samples[idx-1].O)
 	}
 	return p
 }
@@ -400,11 +338,11 @@ func (s *session) predictViewport(k int) geom.Point {
 // recentSwitchingSpeed estimates S_fov from the most recently played
 // segment, using the within-segment peak (see SegmentPeakSpeed): the Eq. 4
 // blurred-vision tolerance applies when the segment contains a fast switch.
-func (s *session) recentSwitchingSpeed(k int) float64 {
+func (s *session) recentSwitchingSpeed(user *headtrace.Trace, k int) float64 {
 	if k == 0 {
 		return 0
 	}
-	sp, err := s.user.SegmentPeakSpeed(k-1, s.cfg.SegmentSec)
+	sp, err := user.SegmentPeakSpeed(k-1, s.cfg.SegmentSec)
 	if err != nil {
 		return 0
 	}
@@ -426,19 +364,20 @@ func bestQuality(options []abr.OptionMeta) float64 {
 // offered, downloads safely, still satisfies the ε QoE floor against the
 // best currently downloadable version (so it cannot ratchet quality down),
 // and costs at most a few percent more energy than the DP's fresh choice.
-func (s *session) applyHysteresis(options []abr.OptionMeta, chosen abr.OptionMeta, rateEst float64) abr.OptionMeta {
+// buffer is the buffer level at request time.
+func (s *session) applyHysteresis(options []abr.OptionMeta, chosen abr.OptionMeta, prev abr.Option, rateEst, buffer float64) abr.OptionMeta {
 	const margin = 1.03
 	var qMax float64
 	for _, o := range options {
-		if o.SizeBits/rateEst <= s.buffer && o.PerceivedQuality > qMax {
+		if o.SizeBits/rateEst <= buffer && o.PerceivedQuality > qMax {
 			qMax = o.PerceivedQuality
 		}
 	}
 	for _, o := range options {
-		if o.Option != s.prevChoice {
+		if o.Option != prev {
 			continue
 		}
-		if o.SizeBits/rateEst > s.buffer {
+		if o.SizeBits/rateEst > buffer {
 			return chosen
 		}
 		if o.PerceivedQuality < (1-s.cfg.Epsilon)*qMax {
