@@ -95,27 +95,30 @@ func (c *EdgeCache) key(r *http.Request) string {
 }
 
 // Serve answers the request from the cache when possible, otherwise fills
-// through next. It reports true when the response came from a stored entry
-// or a shared in-progress fill — i.e. when next was NOT invoked for this
-// request.
-func (c *EdgeCache) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) (hit bool) {
+// through next. When the response comes from a stored entry or a shared
+// in-progress fill — i.e. when next is NOT invoked for this request — it
+// calls onHit before writing, so a hit is counted before the client can see
+// the response.
+func (c *EdgeCache) Serve(w http.ResponseWriter, r *http.Request, next http.Handler, onHit func()) {
 	key := c.key(r)
 	c.mu.Lock()
 	if resp, ok := c.entries[key]; ok {
 		c.mu.Unlock()
+		onHit()
 		writeCached(w, resp)
-		return true
+		return
 	}
 	if fl, ok := c.flights[key]; ok {
 		c.mu.Unlock()
 		<-fl.done
 		if fl.resp != nil {
+			onHit()
 			writeCached(w, fl.resp)
-			return true
+			return
 		}
 		// The fill failed or was uncacheable; go to the origin directly.
 		next.ServeHTTP(w, r)
-		return false
+		return
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.flights[key] = fl
@@ -139,7 +142,6 @@ func (c *EdgeCache) Serve(w http.ResponseWriter, r *http.Request, next http.Hand
 	}()
 	next.ServeHTTP(cw, r)
 	completed = true
-	return false
 }
 
 // store inserts an entry, evicting oldest-first beyond the entry cap.

@@ -343,9 +343,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(w, r)
 	})
 	if cacheable(r) {
-		if served := rt.cache.Serve(w, r, toShard); served {
-			rt.hits.Inc()
-		}
+		rt.cache.Serve(w, r, toShard, rt.hits.Inc)
 		return
 	}
 	toShard.ServeHTTP(w, r)
