@@ -5,6 +5,7 @@ import (
 
 	"ptile360/internal/headtrace"
 	"ptile360/internal/lte"
+	"ptile360/internal/parallel"
 	"ptile360/internal/power"
 	"ptile360/internal/predict"
 	"ptile360/internal/sim"
@@ -49,73 +50,85 @@ func Ablations(scale Scale) (*AblationsResult, error) {
 		return nil, err
 	}
 
-	res := &AblationsResult{VideoID: 8}
-	runWith := func(sweep, setting string, mutate func(*sim.Config)) error {
-		cfg, err := sim.DefaultConfig(sim.SchemeOurs, power.Pixel3)
-		if err != nil {
-			return err
-		}
-		mutate(&cfg)
-		row := AblationRow{Sweep: sweep, Setting: setting}
-		for _, user := range setup.eval {
-			r, err := runSession(setup, user, trace2, cfg)
-			if err != nil {
-				return fmt.Errorf("experiments: ablation %s=%s: %w", sweep, setting, err)
-			}
-			row.EnergyPerSegment += r.Energy.Total() / float64(r.Segments)
-			row.QoE += r.QoE.MeanQ
-			row.Stalls += float64(r.QoE.Stalls)
-			row.MeanFrameRate += r.MeanFrameRate
-		}
-		n := float64(len(setup.eval))
-		row.EnergyPerSegment /= n
-		row.QoE /= n
-		row.Stalls /= n
-		row.MeanFrameRate /= n
-		res.Rows = append(res.Rows, row)
-		return nil
+	// One setting per (sweep, value) in row order, then one session job
+	// per (setting, user), flattened onto the pool as in RunComparison.
+	type setting struct {
+		sweep, name string
+		cfg         sim.Config
 	}
-
+	base, err := sim.DefaultConfig(sim.SchemeOurs, power.Pixel3)
+	if err != nil {
+		return nil, err
+	}
+	var settings []setting
+	add := func(sweep, name string, mutate func(*sim.Config)) {
+		cfg := base
+		mutate(&cfg)
+		settings = append(settings, setting{sweep: sweep, name: name, cfg: cfg})
+	}
 	for _, eps := range []float64{0.0, 0.05, 0.15} {
-		setting := fmt.Sprintf("%.0f%%", 100*eps)
-		if err := runWith("epsilon", setting, func(c *sim.Config) { c.Epsilon = eps }); err != nil {
-			return nil, err
-		}
+		add("epsilon", fmt.Sprintf("%.0f%%", 100*eps), func(c *sim.Config) { c.Epsilon = eps })
 	}
 	for _, h := range []int{1, 3, 5, 8} {
-		if err := runWith("horizon", fmt.Sprintf("H=%d", h), func(c *sim.Config) { c.Horizon = h }); err != nil {
-			return nil, err
-		}
+		add("horizon", fmt.Sprintf("H=%d", h), func(c *sim.Config) { c.Horizon = h })
 	}
 	for _, beta := range []float64{2, 3, 5} {
-		if err := runWith("buffer", fmt.Sprintf("%.0fs", beta), func(c *sim.Config) { c.BufferCapSec = beta }); err != nil {
-			return nil, err
-		}
+		add("buffer", fmt.Sprintf("%.0fs", beta), func(c *sim.Config) { c.BufferCapSec = beta })
 	}
 	for _, kind := range []predict.EstimatorKind{
 		predict.EstimatorHarmonic, predict.EstimatorLastSample,
 		predict.EstimatorEWMA, predict.EstimatorMovingAverage,
 	} {
-		k := kind
-		if err := runWith("estimator", kind.String(), func(c *sim.Config) { c.Estimator = k }); err != nil {
-			return nil, err
-		}
+		add("estimator", kind.String(), func(c *sim.Config) { c.Estimator = kind })
 	}
 	for _, kind := range []predict.ViewportKind{
 		predict.ViewportRidge, predict.ViewportOLS, predict.ViewportStatic,
 	} {
-		k := kind
-		if err := runWith("viewport", kind.String(), func(c *sim.Config) { c.Viewport.Kind = k }); err != nil {
-			return nil, err
-		}
+		add("viewport", kind.String(), func(c *sim.Config) { c.Viewport.Kind = kind })
 	}
 	// The objective swap: the paper's energy-minimizing MPC against the
 	// QoE-maximizing MPC it descends from [24].
-	if err := runWith("controller", "energy-mpc", func(*sim.Config) {}); err != nil {
+	add("controller", "energy-mpc", func(*sim.Config) {})
+	add("controller", "qoe-mpc", func(c *sim.Config) { c.UseQoEMPC = true })
+
+	// Each session keeps only its contribution to the row: the setting's
+	// AblationRow fields, before averaging.
+	users := len(setup.eval)
+	sessions := make([]AblationRow, len(settings)*users)
+	if err := parallel.ForEach(len(sessions), maxWorkers(), func(i int) error {
+		st := &settings[i/users]
+		r, err := runSession(setup, setup.eval[i%users], trace2, st.cfg)
+		if err != nil {
+			return fmt.Errorf("experiments: ablation %s=%s: %w", st.sweep, st.name, err)
+		}
+		sessions[i] = AblationRow{
+			EnergyPerSegment: r.Energy.Total() / float64(r.Segments),
+			QoE:              r.QoE.MeanQ,
+			Stalls:           float64(r.QoE.Stalls),
+			MeanFrameRate:    r.MeanFrameRate,
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	if err := runWith("controller", "qoe-mpc", func(c *sim.Config) { c.UseQoEMPC = true }); err != nil {
-		return nil, err
+
+	// Average each setting over its users in user order, so every sum sees
+	// the same float sequence however the pool ran them.
+	res := &AblationsResult{VideoID: 8}
+	n := float64(users)
+	for si, st := range settings {
+		row := AblationRow{Sweep: st.sweep, Setting: st.name}
+		for _, s := range sessions[si*users : (si+1)*users] {
+			row.EnergyPerSegment += s.EnergyPerSegment
+			row.QoE += s.QoE
+			row.Stalls += s.Stalls
+			row.MeanFrameRate += s.MeanFrameRate
+		}
+		row.EnergyPerSegment /= n
+		row.QoE /= n
+		row.Stalls /= n
+		row.MeanFrameRate /= n
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }

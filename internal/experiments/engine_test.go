@@ -88,6 +88,45 @@ func TestFigureHarnessesWorkersDeterministic(t *testing.T) {
 	}
 }
 
+// TestNetemAblationsWorkersDeterministic repeats the worker sweep for the
+// two flattened session sweeps: NetemFig over all three default profiles
+// and Ablations must give identical results and rendered tables on one
+// worker and on a wide pool.
+func TestNetemAblationsWorkersDeterministic(t *testing.T) {
+	scale := QuickScale()
+	if err := SetNetemProfile(""); err != nil {
+		t.Fatal(err)
+	}
+	type outputs struct {
+		netem *NetemResult
+		abl   *AblationsResult
+	}
+	run := func() outputs {
+		nf, err := NetemFig(8, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abl, err := Ablations(scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outputs{netem: nf, abl: abl}
+	}
+	var serial, wide outputs
+	withWorkers(t, 1, func() { serial = run() })
+	withWorkers(t, 8, func() { wide = run() })
+	if got := len(serial.netem.Rows); got != 3*2*2 {
+		t.Fatalf("netem rows = %d, want 12 (3 profiles x 2 estimators x 2 models)", got)
+	}
+	if !reflect.DeepEqual(serial, wide) {
+		t.Fatal("netem/ablation outputs differ between worker counts")
+	}
+	if !reflect.DeepEqual(serial.netem.Render(), wide.netem.Render()) ||
+		!reflect.DeepEqual(serial.abl.Render(), wide.abl.Render()) {
+		t.Fatal("rendered tables differ between worker counts")
+	}
+}
+
 // TestSetupCacheSingleExecution proves the cache-hit accounting: a sweep
 // touching the same scale from several harnesses builds each distinct
 // (video, scale) setup and each trace pair exactly once.

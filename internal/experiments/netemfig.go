@@ -5,6 +5,7 @@ import (
 
 	"ptile360/internal/lte"
 	"ptile360/internal/netem"
+	"ptile360/internal/parallel"
 	"ptile360/internal/power"
 	"ptile360/internal/predict"
 	"ptile360/internal/sim"
@@ -101,7 +102,15 @@ func NetemFig(videoID int, scale Scale) (*NetemResult, error) {
 		return nil, err
 	}
 	res := &NetemResult{Video: videoID, Users: len(setup.eval)}
-	estimators := []predict.EstimatorKind{predict.EstimatorHarmonic, predict.EstimatorDelayGradient}
+
+	// One cell per (profile, estimator, model) in row order, then one
+	// session job per (cell, user), flattened so a single bounded pool
+	// saturates the machine, as in RunComparison.
+	cfg, err := sim.DefaultConfig(sim.SchemeOurs, power.Pixel3)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: netem: %w", err)
+	}
+	var cells []netemCell
 	for _, spec := range netemProfiles() {
 		prof, err := netem.ParseProfile(spec)
 		if err != nil {
@@ -114,15 +123,29 @@ func NetemFig(videoID int, scale Scale) (*NetemResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, kind := range estimators {
+		for _, kind := range []predict.EstimatorKind{predict.EstimatorHarmonic, predict.EstimatorDelayGradient} {
 			for _, model := range []string{"segment", "packet"} {
-				row, err := netemCell(setup, prof, segTrace, kind, model, scale)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: netem %s/%s/%s: %w", prof.Name, model, kind, err)
-				}
-				res.Rows = append(res.Rows, row)
+				c := netemCell{prof: prof, segTrace: segTrace, kind: kind, model: model, cfg: cfg}
+				c.cfg.Estimator = kind
+				cells = append(cells, c)
 			}
 		}
+	}
+	users := len(setup.eval)
+	sessions := make([]netemSession, len(cells)*users)
+	if err := parallel.ForEach(len(sessions), maxWorkers(), func(i int) error {
+		c := &cells[i/users]
+		s, err := c.run(setup, i%users, scale)
+		if err != nil {
+			return c.errorf(err)
+		}
+		sessions[i] = s
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for ci := range cells {
+		res.Rows = append(res.Rows, cells[ci].aggregate(sessions[ci*users:(ci+1)*users]))
 	}
 	return res, nil
 }
@@ -144,53 +167,73 @@ func netemSegmentTrace(prof *netem.Profile, samples int) (*lte.Trace, error) {
 	return tr, nil
 }
 
-// netemCell streams every evaluation user through one configuration and
-// aggregates.
-func netemCell(setup *videoSetup, prof *netem.Profile, segTrace *lte.Trace, kind predict.EstimatorKind, model string, scale Scale) (NetemRow, error) {
-	cfg, err := sim.DefaultConfig(sim.SchemeOurs, power.Pixel3)
-	if err != nil {
-		return NetemRow{}, err
-	}
-	cfg.Estimator = kind
-	row := NetemRow{Profile: prof.Name, Model: model, Estimator: kind.String()}
-	var qoes, energies, stallSecs []float64
-	for u, user := range setup.eval {
-		var r *sim.Result
-		switch model {
-		case "segment":
-			r, err = sim.Run(setup.catalog, user, segTrace, cfg)
-		case "packet":
-			var pn *netem.SessionNet
-			pn, err = netem.NewSessionNet(netem.SessionConfig{
-				Profile:    prof,
-				Seed:       scale.Seed*1000 + int64(u),
-				SegmentSec: cfg.SegmentSec,
-				PaceFactor: netemPaceFactor,
-			})
-			if err == nil {
-				r, err = sim.Run(setup.catalog, user, pn, cfg)
-				if err == nil {
-					st := pn.Stats()
-					row.Packets += st.Packets
-					row.Retransmits += st.Retransmits
-					row.DropsTail += st.DropsTail
-				}
-			}
-		default:
-			err = fmt.Errorf("unknown model %q", model)
-		}
+// netemCell is one (profile, estimator, model) configuration of the sweep.
+type netemCell struct {
+	prof     *netem.Profile
+	segTrace *lte.Trace
+	kind     predict.EstimatorKind
+	model    string
+	cfg      sim.Config
+}
+
+// netemSession is what one user's session contributes to its cell's row.
+type netemSession struct {
+	qoe, energyJ, stallSec float64
+	stalls                 int
+	net                    netem.SessionStats
+}
+
+func (c *netemCell) errorf(err error) error {
+	return fmt.Errorf("experiments: netem %s/%s/%s: %w", c.prof.Name, c.model, c.kind, err)
+}
+
+// run streams evaluation user u through the cell's configuration: over the
+// shared segment trace, or over a fresh packet-level path seeded per user.
+func (c *netemCell) run(setup *videoSetup, u int, scale Scale) (netemSession, error) {
+	var link sim.Link = c.segTrace
+	var pn *netem.SessionNet
+	if c.model == "packet" {
+		var err error
+		pn, err = netem.NewSessionNet(netem.SessionConfig{
+			Profile:    c.prof,
+			Seed:       scale.Seed*1000 + int64(u),
+			SegmentSec: c.cfg.SegmentSec,
+			PaceFactor: netemPaceFactor,
+		})
 		if err != nil {
-			return NetemRow{}, err
+			return netemSession{}, err
 		}
-		qoes = append(qoes, r.QoE.MeanQ)
-		energies = append(energies, r.Energy.Total())
-		stallSecs = append(stallSecs, r.QoE.StallSec)
-		row.Stalls += r.QoE.Stalls
+		link = pn
+	}
+	r, err := sim.Run(setup.catalog, setup.eval[u], link, c.cfg)
+	if err != nil {
+		return netemSession{}, err
+	}
+	out := netemSession{qoe: r.QoE.MeanQ, energyJ: r.Energy.Total(), stallSec: r.QoE.StallSec, stalls: r.QoE.Stalls}
+	if pn != nil {
+		out.net = pn.Stats()
+	}
+	return out, nil
+}
+
+// aggregate folds the cell's sessions into its row in user order, so every
+// sum and mean sees the same float sequence however the pool ran them.
+func (c *netemCell) aggregate(sessions []netemSession) NetemRow {
+	row := NetemRow{Profile: c.prof.Name, Model: c.model, Estimator: c.kind.String()}
+	qoes := make([]float64, len(sessions))
+	energies := make([]float64, len(sessions))
+	stallSecs := make([]float64, len(sessions))
+	for u, s := range sessions {
+		qoes[u], energies[u], stallSecs[u] = s.qoe, s.energyJ, s.stallSec
+		row.Stalls += s.stalls
+		row.Packets += s.net.Packets
+		row.Retransmits += s.net.Retransmits
+		row.DropsTail += s.net.DropsTail
 	}
 	row.MeanQoE = stats.Mean(qoes)
 	row.EnergyJ = stats.Mean(energies)
 	row.StallSec = stats.Mean(stallSecs)
-	return row, nil
+	return row
 }
 
 // Render formats the sweep as a printable table.

@@ -51,6 +51,30 @@ func BenchmarkNetemDownloadPaced(b *testing.B) {
 	}
 }
 
+// BenchmarkNetemDownloadLossy is the paced segment over bufferbloat with 2 %
+// i.i.d. loss, so retransmissions interleave with first sends through the
+// retransmission heap.
+func BenchmarkNetemDownloadLossy(b *testing.B) {
+	p, err := ParseProfile("bufferbloat,loss=0.02")
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, err := NewSessionNet(SessionConfig{Profile: p, Seed: 1, SegmentSec: 1, PaceFactor: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	tWall := 0.0
+	for i := 0; i < b.N; i++ {
+		dur, err := n.Download(4e6, tWall)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tWall += dur + 1
+	}
+}
+
 // BenchmarkPacerWrite measures the paced writer on a virtual clock pushing
 // a 64 KB chunk (the server's segment write unit).
 func BenchmarkPacerWrite(b *testing.B) {

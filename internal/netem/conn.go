@@ -163,15 +163,15 @@ func (d *dirState) deliver(bytes int, at float64) (float64, error) {
 		if attempt >= maxSendAttempts {
 			return 0, fmt.Errorf("%w: packet dropped %d times at t=%.3f", ErrLinkDead, attempt, at)
 		}
-		p := d.link.ParamsAt(at)
-		rto := math.Max(2*p.RTTSec, minRTOSec)
-		if p.LossProb > 0 && d.rng.Float64() < p.LossProb {
+		sp := d.link.spanAt(at)
+		rto := math.Max(2*sp.p.RTTSec, minRTOSec)
+		if sp.p.LossProb > 0 && d.rng.Float64() < sp.p.LossProb {
 			d.metrics.dropLoss()
 			d.metrics.retransmit()
 			at += rto
 			continue
 		}
-		served, dropped := d.link.Send(bytes, at)
+		served, dropped := d.link.send(bytes, sp)
 		if dropped {
 			d.metrics.dropTail()
 			d.metrics.retransmit()
@@ -182,7 +182,7 @@ func (d *dirState) deliver(bytes int, at float64) (float64, error) {
 			return 0, fmt.Errorf("%w: service horizon exceeded at t=%.3f", ErrLinkDead, at)
 		}
 		d.metrics.packet(served - at)
-		recv := served + p.RTTSec/2
+		recv := served + sp.p.RTTSec/2
 		if recv < d.lastDeliver {
 			recv = d.lastDeliver
 		}

@@ -16,12 +16,17 @@ import (
 // A Link is single-flow and not safe for concurrent use; SessionNet and
 // Conn each own one per direction and serialize access.
 type Link struct {
-	sched *schedule
-	mtu   int
+	// cur walks the compiled schedule alongside the queue clock.
+	cur cursor
+	mtu int
 
 	// now is the time the queue state was last advanced to. Sends must be
 	// non-decreasing in time (FIFO); earlier sends are clamped to now.
 	now float64
+	// last is the span of the most recent send (of time 0 before any); it
+	// answers repeat lookups at that time — the next advance from now, and
+	// every packet of a burst.
+	last span
 	// queuedBytes is this flow's bottleneck backlog. QueueBytes bounds it:
 	// the droptail cap models our flow's share of the buffer.
 	queuedBytes float64
@@ -41,11 +46,21 @@ func NewLink(p *Profile) (*Link, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Link{sched: p.compile(), mtu: p.MTU()}, nil
+	l := &Link{cur: cursor{s: p.compile()}, mtu: p.MTU()}
+	l.last = l.cur.resolve(0)
+	return l, nil
 }
 
 // ParamsAt returns the scheduled parameters in force at time t.
-func (l *Link) ParamsAt(t float64) Params { return l.sched.at(t) }
+func (l *Link) ParamsAt(t float64) Params { return l.spanAt(t).p }
+
+// spanAt resolves the schedule at t, reusing the last send's span.
+func (l *Link) spanAt(t float64) span {
+	if math.Float64bits(t) == math.Float64bits(l.last.t) {
+		return l.last
+	}
+	return l.cur.resolve(t)
+}
 
 // MTU returns the packetization unit.
 func (l *Link) MTU() int { return l.mtu }
@@ -77,14 +92,14 @@ func residualRate(p Params) float64 {
 // 0 means unlimited: the queue empties instantly.
 func (l *Link) advance(t float64) {
 	for l.now < t {
-		p := l.sched.at(l.now)
-		end := math.Min(t, l.sched.nextBoundary(l.now))
+		sp := l.spanAt(l.now)
+		end := math.Min(t, sp.next)
 		if end <= l.now {
 			// Defensive: a boundary exactly at now must not spin.
 			end = t
 		}
 		dt := end - l.now
-		switch r := residualRate(p); {
+		switch r := residualRate(sp.p); {
 		case r < 0:
 			l.queuedBytes = 0
 		case r > 0:
@@ -108,39 +123,51 @@ func (l *Link) Send(bytes int, atSec float64) (deliveredSec float64, dropped boo
 	if bytes <= 0 {
 		return atSec, false
 	}
-	if atSec < l.now {
-		atSec = l.now
+	return l.send(bytes, l.spanAt(atSec))
+}
+
+// send is Send for a positive size at a time the caller has already
+// resolved: sp is spanAt(send time), so the send time is looked up once.
+func (l *Link) send(bytes int, sp span) (deliveredSec float64, dropped bool) {
+	if sp.t < l.now {
+		sp = l.spanAt(l.now)
 	}
-	l.advance(atSec)
-	p := l.sched.at(atSec)
-	if p.CapacityBps <= 0 {
+	l.advance(sp.t)
+	l.last = sp
+	if sp.p.CapacityBps <= 0 {
 		// Unlimited capacity: no queue, instantaneous service.
-		return atSec, false
+		return sp.t, false
 	}
-	if p.QueueBytes > 0 && l.queuedBytes+float64(bytes) > p.QueueBytes {
+	if sp.p.QueueBytes > 0 && l.queuedBytes+float64(bytes) > sp.p.QueueBytes {
 		l.drops++
 		return 0, true
 	}
 	// FIFO: everything queued at arrival is ahead of this packet. Service
-	// completes when the residual-capacity integral from atSec covers
-	// backlog + the packet itself.
-	deliveredSec = l.serviceDone(atSec, l.queuedBytes+float64(bytes))
+	// completes when the residual-capacity integral from the send time
+	// covers backlog + the packet itself.
+	deliveredSec = l.serviceDone(sp, l.queuedBytes+float64(bytes))
 	l.queuedBytes += float64(bytes)
 	return deliveredSec, false
 }
 
 // serviceDone returns the time at which `bytes` of queued data ahead of and
-// including a packet arriving at `from` have been serviced.
-func (l *Link) serviceDone(from, bytes float64) float64 {
+// including a packet arriving at sp.t have been serviced. It walks the
+// schedule ahead on a copy of the cursor, so the link's own cursor stays
+// at the queue clock for the next send.
+func (l *Link) serviceDone(sp span, bytes float64) float64 {
+	from := sp.t
 	t := from
 	remaining := bytes
+	c := l.cur
 	for remaining > 0 {
-		p := l.sched.at(t)
-		rate := residualRate(p)
+		if t != sp.t {
+			sp = c.resolve(t)
+		}
+		rate := residualRate(sp.p)
 		if rate < 0 {
 			return t
 		}
-		end := l.sched.nextBoundary(t)
+		end := sp.next
 		if rate > 0 {
 			need := remaining / rate
 			if math.IsInf(end, 1) || t+need <= end {
@@ -162,6 +189,7 @@ func (l *Link) serviceDone(from, bytes float64) float64 {
 // Reset rewinds the link to an empty queue at time 0, keeping the schedule.
 func (l *Link) Reset() {
 	l.now = 0
+	l.last = l.cur.resolve(0)
 	l.queuedBytes = 0
 	l.drops = 0
 }

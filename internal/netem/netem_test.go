@@ -2,8 +2,11 @@ package netem
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
+
+	"ptile360/internal/stats"
 )
 
 func mustProfile(t testing.TB, name string) *Profile {
@@ -157,10 +160,91 @@ func TestScheduleAtAndBoundary(t *testing.T) {
 		}
 		tcur = next
 		if tcur > 500 {
-			return
+			break
 		}
 	}
-	t.Fatalf("boundaries stopped advancing at %g", tcur)
+	if tcur <= 500 {
+		t.Fatalf("boundaries stopped advancing at %g", tcur)
+	}
+
+	// The cursor's fast paths must agree with the binary search bit for bit
+	// on every profile: at every compiled start, one ulp either side of it,
+	// one ulp either side of k·RepeatSec, and at random times, walked both
+	// in ascending order and shuffled.
+	profiles := []*Profile{stepWrapProfile()}
+	for _, spec := range append(ProfileNames(), "suddendrop,repeat=45.1", "bufferbloat,repeat=26.3", "crossflow,repeat=0.7e2") {
+		p, err := ParseProfile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profiles = append(profiles, p)
+	}
+	for _, p := range profiles {
+		spec := p.Name
+		s := p.compile()
+		var times []float64
+		addULPs := func(x float64) {
+			times = append(times, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+		}
+		for k := 0.0; k <= 5; k++ {
+			for _, st := range s.starts {
+				addULPs(st + k*s.repeatSec)
+			}
+			if k >= 1 {
+				addULPs(k * s.repeatSec)
+			}
+		}
+		rng := stats.NewRNG(11)
+		for i := 0; i < 2000; i++ {
+			times = append(times, rng.Float64()*400, rng.Float64()*1e6)
+		}
+		times = append(times, -1, math.Copysign(0, -1), 1e15)
+		sorted := append([]float64(nil), times...)
+		sort.Float64s(sorted)
+		for _, order := range [][]float64{sorted, times} {
+			c := cursor{s: s}
+			for _, ts := range order {
+				checkCursorMatches(t, spec, &c, ts)
+			}
+		}
+	}
+}
+
+// stepWrapProfile is a repeating schedule whose last step differs from its
+// first, so a wrong wrap at a period edge changes the parameters (every
+// built-in repeating profile ends where it started).
+func stepWrapProfile() *Profile {
+	return &Profile{
+		Name: "stepwrap",
+		Phases: []Phase{
+			{StartSec: 0, Params: Params{CapacityBps: Mbps(20), RTTSec: 0.03, QueueBytes: 48 << 10}},
+			{StartSec: 4.5, Ramp: true, Params: Params{CapacityBps: Mbps(3), RTTSec: 0.09, QueueBytes: 24 << 10, LossProb: 0.01}},
+			{StartSec: 9.25, Params: Params{CapacityBps: Mbps(8), RTTSec: 0.05, CrossBps: Mbps(5)}},
+		},
+		RepeatSec: 13.7,
+	}
+}
+
+// checkCursorMatches compares one cursor lookup with the binary search.
+func checkCursorMatches(t *testing.T, spec string, c *cursor, ts float64) {
+	t.Helper()
+	bits := math.Float64bits
+	wantP, gotP := c.s.at(ts), c.at(ts)
+	for _, f := range [][2]float64{
+		{wantP.CapacityBps, gotP.CapacityBps}, {wantP.RTTSec, gotP.RTTSec},
+		{wantP.QueueBytes, gotP.QueueBytes}, {wantP.LossProb, gotP.LossProb},
+		{wantP.CrossBps, gotP.CrossBps},
+	} {
+		if bits(f[0]) != bits(f[1]) {
+			t.Fatalf("%s: cursor at(%v) = %+v, binary search %+v", spec, ts, gotP, wantP)
+		}
+	}
+	if want, got := c.s.nextBoundary(ts), c.nextBoundary(ts); bits(want) != bits(got) {
+		t.Fatalf("%s: cursor nextBoundary(%v) = %v, binary search %v", spec, ts, got, want)
+	}
+	if sp := c.resolve(ts); bits(sp.next) != bits(c.s.nextBoundary(ts)) || sp.p != c.s.at(ts) {
+		t.Fatalf("%s: resolve(%v) = %+v disagrees with the binary search", spec, ts, sp)
+	}
 }
 
 func TestScheduleNoRepeatHoldsLastPhase(t *testing.T) {

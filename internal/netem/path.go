@@ -61,7 +61,7 @@ type SessionNet struct {
 	// packets holds the delivered samples of the most recent Download, in
 	// arrival order, reused across calls.
 	packets []PacketSample
-	// pending is the send-event heap scratch, reused across calls.
+	// pending is the retransmission heap scratch, reused across calls.
 	pending []pendingSend
 }
 
@@ -136,54 +136,60 @@ func (n *SessionNet) Download(sizeBits float64, startSec float64) (float64, erro
 	}
 	n.packets = n.packets[:0]
 	n.pending = n.pending[:0]
+	link := n.link
 
 	// The request rides the uplink: half an RTT to reach the server.
-	p0 := n.link.ParamsAt(startSec)
-	sendBase := startSec + p0.RTTSec/2
+	sendBase := startSec + link.ParamsAt(startSec).RTTSec/2
 
-	// Packetize and schedule first transmissions.
-	mtu := n.link.MTU()
+	// Packetize: packet seq carries bytes [off, off+mtu) of the segment,
+	// off = seq·mtu, the last one short.
+	mtu := link.MTU()
 	totalBytes := int(math.Ceil(sizeBits / 8))
 	var paceRate float64 // bytes/s on the wire when pacing
 	if n.cfg.PaceFactor > 0 {
 		paceRate = n.cfg.PaceFactor * sizeBits / n.cfg.SegmentSec / 8
 	}
-	seq := 0
-	var sentBytes int
-	for off := 0; off < totalBytes; off += mtu {
-		b := mtu
-		if off+b > totalBytes {
-			b = totalBytes - off
-		}
+	firstSend := func(seq, off int) pendingSend {
 		at := sendBase
 		if paceRate > 0 {
 			// Interval-budget pacing in closed form: each packet departs
 			// once the budget accrued at paceRate covers the bytes before
 			// it. A burst dump (paceRate 0) sends everything at sendBase.
-			at = sendBase + float64(sentBytes)/paceRate
+			at = sendBase + float64(off)/paceRate
 		}
-		n.pushPending(pendingSend{atSec: at, seq: seq, bytes: b})
-		seq++
-		sentBytes += b
+		return pendingSend{atSec: at, seq: seq, bytes: min(mtu, totalBytes-off)}
 	}
 
-	// Drain the send heap in time order so the FIFO link sees monotone
-	// arrivals; retransmissions re-enter the heap at +RTO.
+	// Send in (atSec, seq) order so the FIFO link sees monotone arrivals.
+	// First transmissions are already in that order, so they come from a
+	// cursor (off, next); only retransmissions, at +RTO, enter the pending
+	// heap. Taking the smaller head under pendingLess at each step pops
+	// exactly what one heap over every packet would.
 	done := startSec
-	for len(n.pending) > 0 {
-		ps := n.popPending()
+	off := 0
+	next := firstSend(0, 0)
+	for off < totalBytes || len(n.pending) > 0 {
+		var ps pendingSend
+		if off < totalBytes && (len(n.pending) == 0 || pendingLess(next, n.pending[0])) {
+			ps = next
+			if off += mtu; off < totalBytes {
+				next = firstSend(ps.seq+1, off)
+			}
+		} else {
+			ps = n.popPending()
+		}
 		if ps.attempts >= maxSendAttempts {
 			return 0, fmt.Errorf("netem: packet seq %d dropped %d times at t=%.3f: link dead", ps.seq, ps.attempts, ps.atSec)
 		}
-		pAt := n.link.ParamsAt(ps.atSec)
-		rto := math.Max(2*pAt.RTTSec, minRTOSec)
-		if pAt.LossProb > 0 && n.rng.Float64() < pAt.LossProb {
+		sp := link.spanAt(ps.atSec)
+		rto := math.Max(2*sp.p.RTTSec, minRTOSec)
+		if sp.p.LossProb > 0 && n.rng.Float64() < sp.p.LossProb {
 			n.stats.DropsLoss++
 			n.cfg.Metrics.dropLoss()
 			n.retransmit(ps, rto)
 			continue
 		}
-		served, dropped := n.link.Send(ps.bytes, ps.atSec)
+		served, dropped := link.send(ps.bytes, sp)
 		if dropped {
 			n.stats.DropsTail++
 			n.cfg.Metrics.dropTail()
@@ -193,7 +199,7 @@ func (n *SessionNet) Download(sizeBits float64, startSec float64) (float64, erro
 		if math.IsInf(served, 1) {
 			return 0, fmt.Errorf("netem: packet seq %d exceeded service horizon at t=%.3f: link dead", ps.seq, ps.atSec)
 		}
-		recv := served + pAt.RTTSec/2
+		recv := served + sp.p.RTTSec/2
 		n.stats.Packets++
 		n.cfg.Metrics.packet(served - ps.atSec)
 		n.packets = append(n.packets, PacketSample{SendSec: ps.atSec, RecvSec: recv, Bytes: ps.bytes})
@@ -218,8 +224,8 @@ func (n *SessionNet) retransmit(ps pendingSend, rto float64) {
 	n.pushPending(ps)
 }
 
-// pushPending / popPending implement a binary min-heap over (atSec, seq) so
-// retransmissions interleave deterministically with first transmissions.
+// pushPending / popPending implement a binary min-heap over (atSec, seq) for
+// the retransmissions awaiting their RTO.
 func (n *SessionNet) pushPending(ps pendingSend) {
 	n.pending = append(n.pending, ps)
 	i := len(n.pending) - 1

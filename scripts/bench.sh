@@ -10,7 +10,9 @@
 #               line is a perf baseline, and a baseline whose commit hash
 #               doesn't describe the measured code is worse than none.
 #   label       free-form tag stored with the run (default: "dev")
-#   bench-regex go test -bench regex (default: the Table/Fig benches)
+#   bench-regex go test -bench regex, matched in every package of the
+#               module (default: the Table/Fig benches). Benchmark names are
+#               unique across packages, so each record names one benchmark.
 #   benchtime   go test -benchtime (default: 1x — a smoke pass; use e.g.
 #               3x or 2s for lower-variance numbers)
 #
@@ -62,7 +64,7 @@ trap 'rm -f "$RAW"' EXIT
 
 for PROCS in $PROCS_LIST; do
     echo "bench.sh: running -bench='$REGEX' -benchtime=$BENCHTIME GOMAXPROCS=$PROCS ..." >&2
-    GOMAXPROCS="$PROCS" go test -run '^$' -bench "$REGEX" -benchtime "$BENCHTIME" -benchmem . | tee "$RAW" >&2
+    GOMAXPROCS="$PROCS" go test -run '^$' -bench "$REGEX" -benchtime "$BENCHTIME" -benchmem ./... | tee "$RAW" >&2
 
     awk -v label="$LABEL" -v stamp="$STAMP" -v commit="$COMMIT" -v procs="$PROCS" '
 BEGIN { n = 0 }
