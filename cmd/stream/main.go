@@ -320,7 +320,11 @@ func writeCSV(path string, report *httpstream.SessionReport) error {
 	if err != nil {
 		return err
 	}
-	if err := sim.WriteSegmentsCSV(f, report.SegmentTraces()); err != nil {
+	traces := make([]sim.SegmentTrace, len(report.Segments))
+	for i, rec := range report.Segments {
+		traces[i] = rec.SegmentTrace
+	}
+	if err := sim.WriteSegmentsCSV(f, traces); err != nil {
 		f.Close()
 		return err
 	}

@@ -129,7 +129,7 @@ func run() error {
 	fmt.Println("\nchaos-session segments with resilience events:")
 	events := 0
 	for _, rec := range chaos.Segments {
-		if rec.Retries == 0 && rec.DegradeSteps == 0 && !rec.Abandoned && rec.StallSec == 0 {
+		if rec.Retries == 0 && !rec.Degraded && !rec.Abandoned && rec.StallSec == 0 {
 			continue
 		}
 		events++
@@ -137,8 +137,8 @@ func run() error {
 		switch {
 		case rec.Abandoned:
 			note = "ABANDONED"
-		case rec.DegradeSteps > 0:
-			note = fmt.Sprintf("degraded -%d", rec.DegradeSteps)
+		case rec.Degraded:
+			note = "degraded"
 		}
 		fmt.Printf("  seg %2d: q%d @ %2.0f fps, %4.0f kB, %d retries, stall %.2fs %s\n",
 			rec.Segment, rec.Quality, rec.FrameRate, float64(rec.Bytes)/1e3,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -15,29 +16,31 @@ import (
 	"ptile360/internal/abr"
 	"ptile360/internal/geom"
 	"ptile360/internal/headtrace"
+	"ptile360/internal/netem"
 	"ptile360/internal/obs"
 	"ptile360/internal/power"
 	"ptile360/internal/predict"
 	"ptile360/internal/ptile"
 	"ptile360/internal/sim"
 	"ptile360/internal/video"
-	"ptile360/internal/vmaf"
 )
 
 // ClientConfig tunes the streaming client.
 type ClientConfig struct {
 	// BaseURL is the server address, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Phone selects the power model for the MPC controller.
+	// Phone selects the Table I power model of the controller and the
+	// energy accounting.
 	Phone power.Phone
 	// Link optionally charges downloads to an emulated network: each
 	// segment body is read from the server at local speed, then charged
-	// Link.Download's transfer time on the session's virtual clock, slept
-	// off once (divided by TimeCompression). An *lte.Trace integrates a
-	// bandwidth trace; a *netem.SessionNet emulates the packet path
-	// (packetization, queueing, loss, retransmission) and feeds per-packet
-	// timing to a PacketObserver estimator. Nil means unshaped (full local
-	// throughput).
+	// Link.Download's transfer time for the delivered version's modelled
+	// size on the session clock, and slept off once (divided by
+	// TimeCompression). An *lte.Trace integrates a bandwidth trace; a
+	// *netem.SessionNet emulates the packet path (packetization, queueing,
+	// loss, retransmission) and feeds per-packet timing to a PacketObserver
+	// estimator. Nil means unshaped: the real transfer time counts, and the
+	// estimator's startup probe is the manifest fetch's goodput.
 	Link sim.Link
 	// Estimator selects the bandwidth-estimator family. The zero value
 	// means the paper's harmonic mean over a 5-sample window. The
@@ -50,8 +53,9 @@ type ClientConfig struct {
 	TimeCompression float64
 	// MaxSegments caps the number of segments streamed (0 = whole video).
 	MaxSegments int
-	// UseMPC selects the energy-minimizing controller; false streams with
-	// the rate-based baseline.
+	// UseMPC selects the paper's controller (sim.SchemeOurs: the
+	// energy-minimizing MPC over the frame-rate ladder); false streams the
+	// Ptile baseline (sim.SchemePtile: rate-based at the source frame rate).
 	UseMPC bool
 
 	// RequestTimeout bounds each HTTP request (one manifest fetch or one
@@ -131,53 +135,19 @@ func (c ClientConfig) Validate() error {
 	return nil
 }
 
-// SegmentRecord is the client-side accounting of one downloaded segment.
+// SegmentRecord is one streamed segment: the session engine's record plus
+// what the wire delivered.
 type SegmentRecord struct {
-	// Segment is the index.
-	Segment int
-	// Quality and FrameRate are the chosen version.
-	Quality video.Quality
-	// FrameRate is in fps.
-	FrameRate float64
-	// Bytes is the payload size received.
+	sim.SegmentTrace
+	// Bytes is the payload received (0 when abandoned).
 	Bytes int64
-	// ThroughputBps is the measured goodput.
-	ThroughputBps float64
-	// FromPtile reports whether a Ptile served the segment.
-	FromPtile bool
-	// EnergyMJ is the Eq. 1 energy estimate for the segment.
-	EnergyMJ float64
-	// PerceivedQuality is the Q(v, f) of the served version.
-	PerceivedQuality float64
-	// BufferSec is the buffer level when the download started.
-	BufferSec float64
-	// Emergency reports a stall-accepting controller fallback decision.
-	Emergency bool
-	// Retries counts failed download attempts before the segment was
-	// served (or given up on).
-	Retries int
-	// DegradeSteps counts ladder rungs dropped below the controller's
-	// choice before an attempt succeeded.
-	DegradeSteps int
-	// Abandoned reports that every rung failed and playback skipped the
-	// segment.
-	Abandoned bool
-	// StallSec is the rebuffering time charged to this segment, including
-	// the deadline miss of an abandoned segment.
-	StallSec float64
-	// BestPerceivedQuality is the highest Q(v, f) any offered version had —
-	// the reference the per-segment QoE loss is measured against.
-	BestPerceivedQuality float64
-	// TxEnergyMJ and DecodeEnergyMJ split the Eq. 1 estimate into its
-	// transmission and decode terms (render is the remainder).
-	TxEnergyMJ     float64
-	DecodeEnergyMJ float64
 	// ViewCenter is the predicted viewport center the segment was fetched
 	// for — the viewport report the online Ptile pipeline clusters.
 	ViewCenter geom.Point
 }
 
-// SessionReport summarizes a client streaming run.
+// SessionReport summarizes a client streaming run. Every total folds the
+// per-segment records.
 type SessionReport struct {
 	VideoID  int
 	Segments []SegmentRecord
@@ -200,25 +170,41 @@ type SessionReport struct {
 	// TotalStallSec is the summed rebuffering time.
 	TotalStallSec float64
 	// TotalQoELoss sums the per-segment QoE losses (fractions in [0, 1]);
-	// divide by len(Segments) for the session mean the paper's ≤5 %
-	// constraint is stated over.
+	// divide by len(Segments) for the session mean.
 	TotalQoELoss float64
 }
 
-// Client streams a video from a Server, driving the paper's controller over
-// real HTTP. It survives flaky transports: per-request timeouts, bounded
-// retries with exponential backoff and jitter, and a degradation ladder
-// that steps down to cheaper rungs — abandoning a segment only when every
-// rung has failed — so an unreliable network degrades the session instead
-// of killing it.
+// add appends one segment and folds it into the totals.
+func (r *SessionReport) add(rec SegmentRecord) {
+	r.Segments = append(r.Segments, rec)
+	r.TotalBytes += rec.Bytes
+	r.TotalEnergyMJ += rec.EnergyMJ
+	if rec.FromPtile {
+		r.PtileSegments++
+	}
+	r.TotalRetries += rec.Retries
+	if rec.Degraded {
+		r.DegradedSegments++
+	}
+	if rec.Abandoned {
+		r.AbandonedSegments++
+	}
+	if rec.StallSec > 0 {
+		r.Stalls++
+		r.TotalStallSec += rec.StallSec
+	}
+	r.TotalQoELoss += rec.QoELoss
+}
+
+// Client streams a video from a Server: each session is the paper's session
+// engine (sim.Stepper) stepped over real HTTP. It survives flaky
+// transports: per-request timeouts, bounded retries with exponential
+// backoff and jitter, and a degradation ladder that steps down to cheaper
+// rungs — abandoning a segment only when every rung has failed — so an
+// unreliable network degrades the session instead of killing it.
 type Client struct {
 	cfg     ClientConfig
 	http    *http.Client
-	pm      power.Model
-	mpc     *abr.EnergyMPC
-	rate    *abr.RateBased
-	enc     video.EncoderConfig
-	grid    geom.Grid
 	timeout time.Duration
 	retry   RetryPolicy
 	obs     *clientObs // nil when cfg.Metrics is unset
@@ -232,20 +218,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pm, err := power.TableI(cfg.Phone)
-	if err != nil {
-		return nil, err
-	}
-	mpc, err := abr.NewEnergyMPC(abr.DefaultConfig(pm.Tx))
-	if err != nil {
-		return nil, err
-	}
-	rb, err := abr.NewRateBased(0.9)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := geom.NewGrid(4, 8)
-	if err != nil {
+	if _, err := power.TableI(cfg.Phone); err != nil {
 		return nil, err
 	}
 	retry := cfg.Retry
@@ -271,11 +244,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return &Client{
 		cfg:     cfg,
 		http:    hc,
-		pm:      pm,
-		mpc:     mpc,
-		rate:    rb,
-		enc:     video.DefaultEncoderConfig(),
-		grid:    grid,
 		timeout: timeout,
 		retry:   retry,
 		obs:     co,
@@ -356,17 +324,24 @@ func (c *Client) FetchManifest(videoID int) (*Manifest, error) {
 // FetchManifestContext is FetchManifest bounded by a session context, with
 // the client's retry policy applied to transient failures.
 func (c *Client) FetchManifestContext(ctx context.Context, videoID int) (*Manifest, error) {
+	m, _, err := c.fetchManifest(ctx, videoID)
+	return m, err
+}
+
+// fetchManifest is FetchManifestContext that also returns the successful
+// fetch's goodput in bits/s.
+func (c *Client) fetchManifest(ctx context.Context, videoID int) (*Manifest, float64, error) {
 	var lastErr error
 	attempts := 0
 	for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if err := c.backoffWait(ctx, attempt, lastErr); err != nil {
-				return nil, fmt.Errorf("httpstream: fetch manifest: %w", err)
+				return nil, 0, fmt.Errorf("httpstream: fetch manifest: %w", err)
 			}
 		}
-		m, err := c.fetchManifestOnce(ctx, videoID)
+		m, goodput, err := c.fetchManifestOnce(ctx, videoID)
 		if err == nil {
-			return m, nil
+			return m, goodput, nil
 		}
 		lastErr = err
 		attempts++
@@ -374,20 +349,38 @@ func (c *Client) FetchManifestContext(ctx context.Context, videoID int) (*Manife
 			break
 		}
 	}
-	return nil, fmt.Errorf("httpstream: fetch manifest (%d attempts): %w", attempts, lastErr)
+	return nil, 0, fmt.Errorf("httpstream: fetch manifest (%d attempts): %w", attempts, lastErr)
 }
 
-func (c *Client) fetchManifestOnce(ctx context.Context, videoID int) (*Manifest, error) {
+func (c *Client) fetchManifestOnce(ctx context.Context, videoID int) (*Manifest, float64, error) {
+	start := time.Now()
 	resp, err := c.get(ctx, fmt.Sprintf("%s/manifest?video=%d", c.cfg.BaseURL, videoID))
 	if err != nil {
-		return nil, fmt.Errorf("fetch manifest: %w", err)
+		return nil, 0, fmt.Errorf("fetch manifest: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("manifest: %w", newStatusError(resp))
+		return nil, 0, fmt.Errorf("manifest: %w", newStatusError(resp))
 	}
-	return DecodeManifest(resp.Body)
+	body := &countingReader{r: resp.Body}
+	m, err := DecodeManifest(body)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, float64(body.n*8) / math.Max(time.Since(start).Seconds(), 1e-6), nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	n, err := r.r.Read(p)
+	r.n += int64(n)
+	return n, err
 }
 
 // Stream plays the whole video for the given viewer, returning the
@@ -397,12 +390,28 @@ func (c *Client) Stream(videoID int, viewer *headtrace.Trace) (*SessionReport, e
 }
 
 // StreamContext plays the video under a session context: cancelling it
-// aborts the session promptly, including mid-backoff and mid-download.
+// aborts the session promptly, including mid-backoff and mid-download. The
+// session is a sim.Stepper over the catalogue the manifest describes, with
+// the HTTP fetch as its link; every decision and every QoE, stall and
+// energy number is the engine's.
 func (c *Client) StreamContext(ctx context.Context, videoID int, viewer *headtrace.Trace) (*SessionReport, error) {
 	if viewer == nil || len(viewer.Samples) == 0 {
 		return nil, fmt.Errorf("httpstream: empty viewer trace")
 	}
-	man, err := c.FetchManifestContext(ctx, videoID)
+	man, probe, err := c.fetchManifest(ctx, videoID)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := c.sessionConfig(man)
+	if err != nil {
+		return nil, err
+	}
+	st, err := sim.NewStepper(man.catalog(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	link := &sessionLink{c: c, video: videoID, cv: man.CatalogVersion, probe: probe}
+	state, err := st.NewState(viewer, link)
 	if err != nil {
 		return nil, err
 	}
@@ -410,19 +419,6 @@ func (c *Client) StreamContext(ctx context.Context, videoID int, viewer *headtra
 	if c.cfg.MaxSegments > 0 && c.cfg.MaxSegments < n {
 		n = c.cfg.MaxSegments
 	}
-
-	kind := c.cfg.Estimator
-	if kind == 0 {
-		kind = predict.EstimatorHarmonic
-	}
-	bw, err := predict.NewEstimator(kind, 5)
-	if err != nil {
-		return nil, err
-	}
-	xs, ys := viewer.XYSeries()
-	report := &SessionReport{VideoID: videoID}
-	buffer := 0.0
-	virtual := 0.0 // virtual wall-clock (seconds) for the link
 
 	// Open the session's flight-recorder ring (nil when unsampled or the
 	// recorder is absent — every Record below is then one branch).
@@ -437,211 +433,87 @@ func (c *Client) StreamContext(ctx context.Context, videoID int, viewer *headtra
 		fs.Record(obs.FlightEvent{Kind: obs.FlightJoin, Seg: -1})
 	}
 
+	report := &SessionReport{VideoID: videoID}
 	for seg := 0; seg < n; seg++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("httpstream: session cancelled at segment %d: %w", seg, err)
 		}
-		var span *obs.Span
-		segCtx := ctx
+		link.ctx, link.span = ctx, nil
 		if c.obs != nil {
-			span = c.obs.tracer.Start(fmt.Sprintf("%s/seg%d", c.cfg.ClientID, seg))
+			link.span = c.obs.tracer.Start(fmt.Sprintf("%s/seg%d", c.cfg.ClientID, seg))
 			// Mint a fresh trace per segment and re-parent the context so
 			// every download attempt carries it across the wire.
-			span.WithTrace(obs.TraceContext{})
-			segCtx = obs.WithTraceContext(ctx, span.TraceContext())
+			link.span.WithTrace(obs.TraceContext{})
+			link.ctx = obs.WithTraceContext(ctx, link.span.TraceContext())
 		}
-		// Viewport prediction from played history.
-		played := float64(seg)*man.SegmentSec - buffer
-		if played < 0 {
-			played = 0
-		}
-		idx := int(played * headtrace.SampleRate)
-		var center geom.Point
-		if idx < 2 {
-			center = geom.PointOf(viewer.Samples[0].O)
-		} else {
-			if idx > len(xs) {
-				idx = len(xs)
-			}
-			horizon := (float64(seg)+0.5)*man.SegmentSec - played
-			if horizon > 1 {
-				horizon = 1
-			}
-			p, err := predict.Viewport(xs[:idx], ys[:idx], horizon, predict.DefaultViewportConfig())
-			if err != nil {
-				p = geom.PointOf(viewer.Samples[idx-1].O)
-			}
-			center = p
-		}
-
-		if span != nil {
-			span.Stage("predict")
-		}
-
-		// Pick the serving Ptile from the manifest.
-		ptIdx, ptRect := c.pickPtile(man, seg, center)
-
-		// Decide the version.
-		rateEst := 5e6
-		if bw.Ready() {
-			if est, err := bw.Estimate(); err == nil {
-				rateEst = est
-			}
-		}
-		speedEst := 0.0
-		if seg > 0 {
-			if sp, err := viewer.SegmentPeakSpeed(seg-1, man.SegmentSec); err == nil {
-				speedEst = sp
-			}
-		}
-		options, err := c.options(man, seg, ptIdx >= 0, ptRect, speedEst)
-		if err != nil {
+		if _, err := st.Step(state); err != nil {
 			return nil, err
 		}
-		var decision abr.Decision
-		if c.cfg.UseMPC {
-			decision, err = c.mpc.Decide(buffer, rateEst, []abr.SegmentMeta{{Options: options}})
-		} else {
-			decision, err = c.rate.Decide(buffer, rateEst, options)
-		}
-		if err != nil {
-			return nil, err
-		}
-		bestQ := 0.0
-		for _, o := range options {
-			if o.PerceivedQuality > bestQ {
-				bestQ = o.PerceivedQuality
-			}
-		}
-		if span != nil {
-			span.Stage("decide")
-		}
-
-		// Download over HTTP with retries and the degradation ladder,
-		// charging each attempt to the link.
-		out, err := c.downloadResilient(segCtx, videoID, seg, man.CatalogVersion, degradeLadder(options, decision.Chosen), ptIdx, center, &virtual)
-		if span != nil {
-			span.Stage("download")
-		}
-		if err != nil {
-			return nil, err
-		}
-		bufferBefore := buffer
-
-		if out.abandoned {
-			// Every rung failed: playback skips the segment. The deadline
-			// miss freezes the display for the segment duration on top of
-			// whatever buffer the failed attempts burned.
-			stall := out.wasted - bufferBefore
-			if stall < 0 {
-				stall = 0
-			}
-			stall += man.SegmentSec
-			if buffer -= out.wasted; buffer < 0 {
-				buffer = 0
-			}
-			rec := SegmentRecord{
-				Segment:              seg,
-				Abandoned:            true,
-				Retries:              out.retries,
-				BufferSec:            bufferBefore,
-				StallSec:             stall,
-				BestPerceivedQuality: bestQ,
-				ViewCenter:           center,
-			}
-			report.Segments = append(report.Segments, rec)
-			report.TotalRetries += out.retries
-			report.AbandonedSegments++
-			report.Stalls++
-			report.TotalStallSec += stall
-			report.TotalQoELoss += 1
-			if fs != nil {
-				now := float64(seg) * man.SegmentSec
-				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightStall, Seg: int32(seg), V1: stall})
-				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightAbandon, Seg: int32(seg), V2: stall, V3: 1})
-			}
-			c.emitTelemetry(videoID, man.SegmentSec, rec, span)
-			continue
-		}
-
-		chosen := out.used
-		throughput := float64(out.bytes*8) / out.elapsed
-		// Feed the successful attempt's wire timing to the estimator
-		// before the segment-level sample, mirroring arrival order.
-		sim.ObservePackets(c.cfg.Link, bw)
-		if err := bw.Observe(throughput); err != nil {
-			return nil, err
-		}
-		spent := out.elapsed + out.wasted
-		stall := spent - bufferBefore
-		if stall < 0 {
-			stall = 0
-		}
-		if buffer -= spent; buffer < 0 {
-			buffer = 0
-		}
-		buffer += man.SegmentSec
-		if buffer > 3+man.SegmentSec {
-			buffer = 3 + man.SegmentSec
-		}
-
-		e, err := c.pm.Segment(power.PtileScheme, float64(out.bytes*8), throughput, chosen.FrameRate, man.SegmentSec)
-		if err != nil {
-			return nil, err
-		}
-		rec := SegmentRecord{
-			Segment:              seg,
-			Quality:              chosen.Quality,
-			FrameRate:            chosen.FrameRate,
-			Bytes:                out.bytes,
-			ThroughputBps:        throughput,
-			FromPtile:            ptIdx >= 0,
-			EnergyMJ:             e.Total(),
-			TxEnergyMJ:           e.Tx,
-			DecodeEnergyMJ:       e.Decode,
-			PerceivedQuality:     chosen.PerceivedQuality,
-			BestPerceivedQuality: bestQ,
-			BufferSec:            bufferBefore,
-			Emergency:            decision.Emergency,
-			Retries:              out.retries,
-			DegradeSteps:         out.degradeSteps,
-			StallSec:             stall,
-			ViewCenter:           center,
-		}
-		report.Segments = append(report.Segments, rec)
-		report.TotalBytes += out.bytes
-		report.TotalEnergyMJ += rec.EnergyMJ
-		if rec.FromPtile {
-			report.PtileSegments++
-		}
-		report.TotalRetries += out.retries
-		if out.degradeSteps > 0 {
-			report.DegradedSegments++
-		}
-		if stall > 0 {
-			report.Stalls++
-			report.TotalStallSec += stall
-		}
-		if bestQ > 0 {
-			report.TotalQoELoss += (bestQ - rec.PerceivedQuality) / bestQ
-		}
+		rec := SegmentRecord{SegmentTrace: state.PerSegment()[seg], Bytes: link.bytes, ViewCenter: link.center}
+		report.add(rec)
 		if fs != nil {
 			now := float64(seg) * man.SegmentSec
-			if stall > 0 {
-				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightStall, Seg: int32(seg), V1: stall})
+			if rec.StallSec > 0 {
+				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightStall, Seg: int32(seg), V1: rec.StallSec})
 			}
-			loss := 0.0
-			if bestQ > 0 {
-				loss = (bestQ - rec.PerceivedQuality) / bestQ
+			if rec.Abandoned {
+				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightAbandon, Seg: int32(seg), V2: rec.StallSec, V3: 1})
+			} else {
+				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightDownload, Seg: int32(seg), V1: float64(rec.Bytes), V2: rec.StallSec, V3: rec.QoELoss})
 			}
-			fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightDownload, Seg: int32(seg), V1: float64(rec.Bytes), V2: stall, V3: loss})
 		}
-		c.emitTelemetry(videoID, man.SegmentSec, rec, span)
+		c.emitTelemetry(videoID, man.SegmentSec, rec, link.span)
 	}
 	if fs != nil {
 		fs.Record(obs.FlightEvent{TimeSec: float64(n) * man.SegmentSec, Kind: obs.FlightLeave, Seg: int32(n)})
 	}
 	return report, nil
+}
+
+// sessionConfig is the engine configuration of one session: the paper's
+// evaluation setting for the scheme UseMPC selects, with the segment
+// duration, frame-rate ladder and grid the manifest advertises.
+func (c *Client) sessionConfig(man *Manifest) (sim.Config, error) {
+	scheme := sim.SchemePtile
+	if c.cfg.UseMPC {
+		scheme = sim.SchemeOurs
+	}
+	cfg, err := sim.DefaultConfig(scheme, c.cfg.Phone)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	if cfg.Grid, err = geom.NewGrid(man.GridRows, man.GridCols); err != nil {
+		return sim.Config{}, err
+	}
+	cfg.SegmentSec = man.SegmentSec
+	cfg.Encoder.FrameRate = man.SourceFPS
+	cfg.FrameRates = []float64{man.SourceFPS}
+	if scheme == sim.SchemeOurs {
+		cfg.FrameRates = man.FrameRates
+	}
+	cfg.Estimator = c.cfg.Estimator
+	cfg.RecordSegments = true
+	return cfg, nil
+}
+
+// catalog rebuilds the engine catalogue the manifest was cut from: the
+// per-segment content and Ptile rects (the Ftile baseline is not served).
+func (m *Manifest) catalog() *sim.Catalog {
+	n := len(m.Segments)
+	cat := &sim.Catalog{
+		Video:      video.Profile{ID: m.VideoID},
+		SegmentSec: m.SegmentSec,
+		Content:    make([]video.SegmentContent, n),
+		Ptiles:     make([][]ptile.Ptile, n),
+		Ftiles:     make([][]sim.FtileGroup, n),
+	}
+	for i, seg := range m.Segments {
+		cat.Content[i] = video.SegmentContent{SI: seg.SI, TI: seg.TI, Jitter: seg.Jitter}
+		for _, r := range seg.Ptiles {
+			cat.Ptiles[i] = append(cat.Ptiles[i], ptile.Ptile{Rect: r.toRect()})
+		}
+	}
+	return cat
 }
 
 // emitTelemetry converts one segment's accounting into a telemetry record,
@@ -661,71 +533,103 @@ func (c *Client) emitTelemetry(videoID int, segmentSec float64, rec SegmentRecor
 	}
 }
 
-// pickPtile returns the index and rect of the manifest Ptile serving the
-// predicted center, or (-1, zero).
-func (c *Client) pickPtile(man *Manifest, seg int, center geom.Point) (int, geom.Rect) {
-	best := -1
-	var bestRect geom.Rect
-	bestArea := 1e18
-	for i, rj := range man.Segments[seg].Ptiles {
-		r := rj.toRect()
-		pt := ptile.Ptile{Rect: r}
-		if pt.Covers(c.grid, center, 100) && r.Area() < bestArea {
-			best, bestRect, bestArea = i, r, r.Area()
-		}
-	}
-	if best >= 0 {
-		return best, bestRect
-	}
-	for i, rj := range man.Segments[seg].Ptiles {
-		r := rj.toRect()
-		if r.Contains(center) && r.Area() < bestArea {
-			best, bestRect, bestArea = i, r, r.Area()
-		}
-	}
-	return best, bestRect
+// sessionLink is one session's network as the engine sees it, a
+// sim.Fetcher: Fetch GETs the controller's choice over HTTP, retrying
+// failed attempts and stepping down the degradation ladder, and charges
+// each transfer to the configured shaping Link. It keeps the wire facts of
+// the last fetch for the segment's telemetry.
+type sessionLink struct {
+	c     *Client
+	ctx   context.Context // the current segment's context, carrying its trace
+	span  *obs.Span       // the current segment's span; nil without Metrics
+	video int
+	cv    int64
+	probe float64 // manifest goodput in bits/s: the unshaped startup probe
+
+	bytes  int64      // payload the last fetch delivered
+	center geom.Point // viewport center the last fetch was for
 }
 
-// options computes the version ladder for one segment from manifest
-// metadata, mirroring the server's size model.
-func (c *Client) options(man *Manifest, seg int, havePtile bool, ptRect geom.Rect, speed float64) ([]abr.OptionMeta, error) {
-	sc := video.SegmentContent{SI: man.Segments[seg].SI, TI: man.Segments[seg].TI, Jitter: 1}
-	frameRates := man.FrameRates
-	if !havePtile {
-		frameRates = []float64{man.SourceFPS}
+// Download charges a transfer to the shaping link. The engine itself
+// fetches through Fetch.
+func (l *sessionLink) Download(bits, startSec float64) (float64, error) {
+	if l.c.cfg.Link == nil {
+		return 0, fmt.Errorf("httpstream: an unshaped session has no link to charge")
 	}
-	var out []abr.OptionMeta
-	for v := video.MinQuality; v <= video.MaxQuality; v++ {
-		for _, f := range frameRates {
-			var bits float64
-			var err error
-			if havePtile {
-				bits, err = c.enc.TileBits(video.TileSpec{Rect: ptRect, Quality: v, FrameRate: f, Kind: video.KindPtile}, man.SegmentSec, sc)
-			} else {
-				bits, err = c.enc.RegionBits(0.28125, v, f, video.KindGrid, man.SegmentSec, sc)
+	return l.c.cfg.Link.Download(bits, startSec)
+}
+
+// RateAt is the shaping link's rate, or on an unshaped session the
+// manifest fetch's goodput: the estimator's startup probe.
+func (l *sessionLink) RateAt(t float64) float64 {
+	if l.c.cfg.Link == nil {
+		return l.probe
+	}
+	return l.c.cfg.Link.RateAt(t)
+}
+
+// Packets is the shaping link's packet feed of its last transfer, if it
+// has one.
+func (l *sessionLink) Packets() []netem.PacketSample {
+	if pl, ok := l.c.cfg.Link.(sim.PacketLink); ok {
+		return pl.Packets()
+	}
+	return nil
+}
+
+// Fetch downloads one segment. The segment span's "decide" stage ends here
+// (Step predicts and decides before it fetches) and its "download" stage
+// with the fetch.
+func (l *sessionLink) Fetch(req sim.FetchRequest) (sim.FetchOutcome, error) {
+	l.stage("decide")
+	out, err := l.fetch(req)
+	l.stage("download")
+	return out, err
+}
+
+func (l *sessionLink) stage(name string) {
+	if l.span != nil {
+		l.span.Stage(name)
+	}
+}
+
+// fetch walks the degradation ladder: each rung gets the retry budget, each
+// attempt starts on the session clock where the previous one's charged
+// transfer ended, and when every rung is exhausted the segment is abandoned
+// rather than failing the session. Only context cancellation, permanent
+// (4xx) errors and, under NoDegrade, an exhausted first rung propagate.
+func (l *sessionLink) fetch(req sim.FetchRequest) (sim.FetchOutcome, error) {
+	l.bytes, l.center = 0, req.Center
+	var out sim.FetchOutcome
+	var lastErr error
+	for rung, opt := range degradeLadder(req.Options, req.Chosen) {
+		for attempt := 0; attempt < l.c.retry.MaxAttempts; attempt++ {
+			if attempt > 0 {
+				if err := l.c.backoffWait(l.ctx, attempt, lastErr); err != nil {
+					return out, fmt.Errorf("httpstream: segment %d: %w", req.Segment, err)
+				}
 			}
-			if err != nil {
-				return nil, err
+			nBytes, elapsed, err := l.attempt(req, opt, req.StartSec+out.WastedSec)
+			if err == nil {
+				l.bytes = nBytes
+				out.Delivered, out.Rung, out.DownloadSec = opt, rung, elapsed
+				return out, nil
 			}
-			b, err := c.enc.QoEBitrateMbps(v)
-			if err != nil {
-				return nil, err
+			out.Retries++
+			out.WastedSec += elapsed
+			lastErr = err
+			if l.ctx.Err() != nil {
+				return out, fmt.Errorf("httpstream: segment %d: %w", req.Segment, l.ctx.Err())
 			}
-			// α = κ·S_fov/TI with the same κ = 6 calibration as the
-			// simulator (sim.Config.AlphaScale).
-			q, err := vmaf.TableII().PerceivedQuality(sc.SI, sc.TI, b, 6*speed, f, man.SourceFPS)
-			if err != nil {
-				return nil, err
+			if !retryable(err) {
+				return out, err
 			}
-			dec := c.pm.Decode[power.PtileScheme]
-			out = append(out, abr.OptionMeta{
-				Option:           abr.Option{Quality: v, FrameRate: f},
-				SizeBits:         bits,
-				PerceivedQuality: q,
-				ProcPowerMW:      dec.At(f) + c.pm.Render.At(f),
-			})
+		}
+		if l.c.cfg.NoDegrade {
+			return out, fmt.Errorf("httpstream: segment %d failed after %d attempts: %w", req.Segment, out.Retries, lastErr)
 		}
 	}
+	out.Abandoned = true
 	return out, nil
 }
 
@@ -751,75 +655,28 @@ func degradeLadder(options []abr.OptionMeta, chosen abr.OptionMeta) []abr.Option
 	return rungs
 }
 
-// downloadOutcome is the result of the retry/degradation loop for one
-// segment.
-type downloadOutcome struct {
-	bytes        int64
-	elapsed      float64 // successful attempt's (virtual) download time
-	wasted       float64 // time burned on failed attempts
-	used         abr.OptionMeta
-	retries      int
-	degradeSteps int
-	abandoned    bool
-}
-
-// downloadResilient walks the degradation ladder: each rung gets the retry
-// budget, and when every rung is exhausted the segment is abandoned rather
-// than failing the session. Only context cancellation and permanent (4xx)
-// errors propagate.
-func (c *Client) downloadResilient(ctx context.Context, videoID, seg int, cv int64, ladder []abr.OptionMeta, ptIdx int, center geom.Point, virtual *float64) (downloadOutcome, error) {
-	var out downloadOutcome
-	var lastErr error
-	for rung, opt := range ladder {
-		for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
-			if attempt > 0 {
-				if err := c.backoffWait(ctx, attempt, lastErr); err != nil {
-					return out, fmt.Errorf("httpstream: segment %d: %w", seg, err)
-				}
-			}
-			nBytes, elapsed, err := c.downloadOnce(ctx, videoID, seg, cv, opt, ptIdx, center, virtual)
-			if err == nil {
-				out.bytes, out.elapsed, out.used, out.degradeSteps = nBytes, elapsed, opt, rung
-				return out, nil
-			}
-			out.retries++
-			out.wasted += elapsed
-			lastErr = err
-			if ctx.Err() != nil {
-				return out, fmt.Errorf("httpstream: segment %d: %w", seg, ctx.Err())
-			}
-			if !retryable(err) {
-				return out, err
-			}
-		}
-		if c.cfg.NoDegrade {
-			return out, fmt.Errorf("httpstream: segment %d failed after %d attempts: %w", seg, out.retries, lastErr)
-		}
-	}
-	out.abandoned = true
-	return out, nil
-}
-
-// downloadOnce GETs one segment version and charges it to the link,
-// returning the byte count and the (virtual) elapsed seconds. On
-// failure the partial byte count and elapsed time are still returned so the
-// caller can account the waste.
-func (c *Client) downloadOnce(ctx context.Context, videoID, seg int, cv int64, chosen abr.OptionMeta, ptIdx int, center geom.Point, virtual *float64) (int64, float64, error) {
+// attempt GETs one segment version starting at session time at and charges
+// it to the shaping link: a complete body costs the version's modelled
+// size, a broken one the bits that arrived. It returns the byte count and
+// the elapsed (charged, or on an unshaped session real) seconds; on failure
+// both are still returned so the caller can account the waste.
+func (l *sessionLink) attempt(req sim.FetchRequest, opt abr.OptionMeta, at float64) (int64, float64, error) {
+	seg := req.Segment
 	u := fmt.Sprintf("%s/segment?video=%d&seg=%d&q=%d&f=%s",
-		c.cfg.BaseURL, videoID, seg, int(chosen.Quality),
-		strconv.FormatFloat(chosen.FrameRate, 'f', -1, 64))
-	if cv > 0 {
+		l.c.cfg.BaseURL, l.video, seg, int(opt.Quality),
+		strconv.FormatFloat(opt.FrameRate, 'f', -1, 64))
+	if l.cv > 0 {
 		// Pin the session to the catalogue generation its manifest was cut
 		// from: hot swaps must not change the Ptile geometry under a
 		// session mid-stream.
-		u += fmt.Sprintf("&cv=%d", cv)
+		u += fmt.Sprintf("&cv=%d", l.cv)
 	}
-	if ptIdx >= 0 {
-		u += fmt.Sprintf("&ptile=%d", ptIdx)
+	if req.Ptile >= 0 {
+		u += fmt.Sprintf("&ptile=%d", req.Ptile)
 	} else {
-		u += fmt.Sprintf("&cx=%g&cy=%g", center.X, center.Y)
+		u += fmt.Sprintf("&cx=%g&cy=%g", req.Center.X, req.Center.Y)
 	}
-	resp, err := c.get(ctx, u)
+	resp, err := l.c.get(l.ctx, u)
 	if err != nil {
 		return 0, 0, fmt.Errorf("httpstream: segment %d: %w", seg, err)
 	}
@@ -856,16 +713,18 @@ func (c *Client) downloadOnce(ctx context.Context, videoID, seg int, cv int64, c
 		}
 	}
 	elapsed := time.Since(start).Seconds()
-	if c.cfg.Link != nil && nBytes > 0 {
+	if l.c.cfg.Link != nil && nBytes > 0 {
 		// The body was read at local speed; charge the link's transfer time
-		// instead, and advance the session's virtual clock so back-to-back
-		// segments see the link at the right offsets.
-		dur, derr := c.cfg.Link.Download(float64(nBytes*8), *virtual)
+		// instead, and sleep it off once.
+		bits := opt.SizeBits
+		if readErr != nil {
+			bits = float64(nBytes * 8)
+		}
+		dur, derr := l.Download(bits, at)
 		if derr != nil {
 			return nBytes, elapsed, fmt.Errorf("httpstream: segment %d: %w", seg, derr)
 		}
-		*virtual += dur
-		compression := c.cfg.TimeCompression
+		compression := l.c.cfg.TimeCompression
 		if compression == 0 {
 			compression = 1
 		}

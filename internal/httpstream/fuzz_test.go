@@ -17,8 +17,8 @@ func FuzzManifestJSON(f *testing.F) {
 		VideoID:    2,
 		SegmentSec: 1,
 		Segments: []SegmentMetaJSON{
-			{SI: 40, TI: 20, Ptiles: []RectJSON{{X0: 10, Y0: 30, W: 120, H: 90}}},
-			{SI: 55, TI: 25},
+			{SI: 40, TI: 20, Jitter: 0.93, Ptiles: []RectJSON{{X0: 10, Y0: 30, W: 120, H: 90}}},
+			{SI: 55, TI: 25, Jitter: 1.2},
 		},
 		Qualities:  5,
 		FrameRates: []float64{30, 27, 24, 21},
@@ -38,6 +38,8 @@ func FuzzManifestJSON(f *testing.F) {
 	f.Add([]byte(`{"segment_sec":1e308,"segments":[{}],"frame_rates":[30],"source_fps":30}`))
 	f.Add([]byte(`{"segment_sec":1,"segments":[{"si":-1}],"frame_rates":[30],"source_fps":30}`))
 	f.Add([]byte(`{"segment_sec":1,"segments":[{"ptiles":[{"w":-10,"h":5}]}],"frame_rates":[30],"source_fps":30}`))
+	f.Add([]byte(`{"segment_sec":1,"segments":[{"si":40,"ti":20,"jitter":0}],"frame_rates":[30],"source_fps":30}`))
+	f.Add([]byte(`{"segment_sec":1,"segments":[{"si":40,"ti":20,"jitter":1e300}],"frame_rates":[30],"source_fps":30}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))

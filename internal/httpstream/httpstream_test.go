@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -117,6 +118,19 @@ func TestManifestErrors(t *testing.T) {
 		if resp.StatusCode == http.StatusOK {
 			t.Fatalf("%s should fail", path)
 		}
+	}
+	// A segment's content-size jitter must be a finite factor in (0, 1e3].
+	for _, jitter := range []string{"0", "-1", "1001", "1e309", `"NaN"`, "null"} {
+		body := `{"segment_sec":1,"frame_rates":[30],"source_fps":30,"grid_rows":4,"grid_cols":8,` +
+			`"segments":[{"si":40,"ti":20,"jitter":` + jitter + `}]}`
+		if _, err := DecodeManifest(strings.NewReader(body)); err == nil {
+			t.Fatalf("manifest with jitter %s accepted", jitter)
+		}
+	}
+	ok := `{"segment_sec":1,"frame_rates":[30],"source_fps":30,"grid_rows":4,"grid_cols":8,` +
+		`"segments":[{"si":40,"ti":20,"jitter":1000}]}`
+	if _, err := DecodeManifest(strings.NewReader(ok)); err != nil {
+		t.Fatalf("jitter 1e3 rejected: %v", err)
 	}
 }
 
@@ -307,20 +321,28 @@ func TestClientStreamShaped(t *testing.T) {
 			t.Fatalf("segment %d throughput %.0f bps: shaping not applied", rec.Segment, rec.ThroughputBps)
 		}
 	}
-	// Each download is charged the trace integrated over the whole transfer,
-	// starting where the previous one ended: exactly the simulator's
+	// Each download is charged the version's modelled size, integrated over
+	// the trace from the request time: where the previous download ended,
+	// plus the Δt = max(B − β, 0) wait. That is exactly the simulator's
 	// download time, bit for bit.
-	start := 0.0
+	start, buffer := 0.0, 0.0
 	for _, rec := range report.Segments {
-		bits := float64(rec.Bytes * 8)
-		dl, err := tr2.DownloadTime(bits, start)
+		if dt := buffer - 3; dt > 0 {
+			start += dt
+			buffer -= dt
+		}
+		if math.Float64bits(rec.BufferSec) != math.Float64bits(buffer) {
+			t.Fatalf("segment %d requested at buffer %v, want %v", rec.Segment, rec.BufferSec, buffer)
+		}
+		dl, err := tr2.DownloadTime(rec.SizeBits, start)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := bits / dl; math.Float64bits(rec.ThroughputBps) != math.Float64bits(want) {
+		if want := rec.SizeBits / dl; math.Float64bits(rec.ThroughputBps) != math.Float64bits(want) {
 			t.Fatalf("segment %d throughput %v bps, want %v (trace integrated from t=%v)", rec.Segment, rec.ThroughputBps, want, start)
 		}
 		start += dl
+		buffer = math.Max(buffer-dl, 0) + 1
 	}
 }
 
@@ -340,27 +362,39 @@ func TestClientStreamValidation(t *testing.T) {
 
 func TestConcurrentClients(t *testing.T) {
 	// Several viewers stream from the same server simultaneously; each
-	// session must complete with independent, sane accounting.
+	// session must complete with independent, sane accounting. Clients 0
+	// and 1 stream the same viewer over fresh copies of one LTE trace, so
+	// their reports must be bit-identical even under concurrency (the server
+	// is stateless per request).
 	h := newHarness(t)
 	const n = 4
 	reports := make([]*SessionReport, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
+		cfg := ClientConfig{
+			BaseURL:     h.server.URL,
+			Phone:       power.Pixel3,
+			MaxSegments: 8,
+			UseMPC:      true,
+		}
+		viewer := h.eval[i%len(h.eval)]
+		if i < 2 {
+			_, tr2, err := lte.StandardTraces(60, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Link, cfg.TimeCompression, viewer = tr2, 1e4, h.eval[0]
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			client, err := NewClient(ClientConfig{
-				BaseURL:     h.server.URL,
-				Phone:       power.Pixel3,
-				MaxSegments: 8,
-				UseMPC:      true,
-			})
+			client, err := NewClient(cfg)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			reports[i], errs[i] = client.Stream(2, h.eval[i%len(h.eval)])
+			reports[i], errs[i] = client.Stream(2, viewer)
 		}(i)
 	}
 	wg.Wait()
@@ -372,11 +406,21 @@ func TestConcurrentClients(t *testing.T) {
 			t.Fatalf("client %d: malformed report", i)
 		}
 	}
-	// Identical viewers must produce identical downloads even under
-	// concurrency (the server is stateless per request).
-	if reports[0].TotalBytes != reports[len(h.eval)%n].TotalBytes && len(h.eval) <= n {
-		// Same viewer index wraps around when n > len(eval).
-		t.Log("viewer wrap check skipped: distinct viewers")
+	a, b := reports[0], reports[1]
+	for k := range a.Segments {
+		ra, rb := a.Segments[k], b.Segments[k]
+		if diff := traceDiff(ra.SegmentTrace, rb.SegmentTrace); diff != "" {
+			t.Fatalf("segment %d: same viewer and trace diverged: %s", k, diff)
+		}
+		if ra.Bytes != rb.Bytes || math.Float64bits(ra.ViewCenter.X) != math.Float64bits(rb.ViewCenter.X) ||
+			math.Float64bits(ra.ViewCenter.Y) != math.Float64bits(rb.ViewCenter.Y) {
+			t.Fatalf("segment %d: same viewer and trace fetched differently: %+v vs %+v", k, ra, rb)
+		}
+	}
+	if math.Float64bits(a.TotalEnergyMJ) != math.Float64bits(b.TotalEnergyMJ) ||
+		math.Float64bits(a.TotalStallSec) != math.Float64bits(b.TotalStallSec) ||
+		math.Float64bits(a.TotalQoELoss) != math.Float64bits(b.TotalQoELoss) || a.TotalBytes != b.TotalBytes {
+		t.Fatalf("same viewer and trace, different totals:\n%+v\n%+v", a, b)
 	}
 }
 

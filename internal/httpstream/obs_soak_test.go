@@ -292,11 +292,7 @@ func TestObservabilitySoak(t *testing.T) {
 			}
 			switch ev.Kind {
 			case obs.FlightDownload:
-				loss := 0.0
-				if rec.BestPerceivedQuality > 0 {
-					loss = (rec.BestPerceivedQuality - rec.PerceivedQuality) / rec.BestPerceivedQuality
-				}
-				if ev.V1 != float64(rec.Bytes) || ev.V2 != rec.StallSec || ev.V3 != loss {
+				if ev.V1 != float64(rec.Bytes) || ev.V2 != rec.StallSec || ev.V3 != rec.QoELoss {
 					t.Fatalf("dump %s seg %d: download event %+v != report %+v", d.Session, ev.Seg, ev, rec)
 				}
 			case obs.FlightStall:

@@ -19,7 +19,6 @@ import (
 
 	"ptile360/internal/geom"
 	"ptile360/internal/netem"
-	"ptile360/internal/ptile"
 	"ptile360/internal/sim"
 	"ptile360/internal/video"
 )
@@ -37,8 +36,11 @@ func (r RectJSON) toRect() geom.Rect  { return geom.Rect{X0: r.X0, Y0: r.Y0, W: 
 
 // SegmentMetaJSON is the per-segment manifest entry.
 type SegmentMetaJSON struct {
-	SI     float64    `json:"si"`
-	TI     float64    `json:"ti"`
+	SI float64 `json:"si"`
+	TI float64 `json:"ti"`
+	// Jitter is the segment's content-size factor, so the client prices
+	// versions with the server's size model.
+	Jitter float64    `json:"jitter"`
 	Ptiles []RectJSON `json:"ptiles"`
 }
 
@@ -269,7 +271,8 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		CatalogVersion: version,
 	}
 	for seg := range cat.Content {
-		sm := SegmentMetaJSON{SI: cat.Content[seg].SI, TI: cat.Content[seg].TI}
+		sc := cat.Content[seg]
+		sm := SegmentMetaJSON{SI: sc.SI, TI: sc.TI, Jitter: sc.Jitter}
 		for _, pt := range cat.Ptiles[seg] {
 			sm.Ptiles = append(sm.Ptiles, toRectJSON(pt.Rect))
 		}
@@ -331,6 +334,8 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Sizes come from the engine's size model (sim.PtileBits, sim.GridBits),
+	// so a body is exactly the size the client's controller priced.
 	var bits float64
 	if ps := qy.Get("ptile"); ps != "" {
 		idx, err := strconv.Atoi(ps)
@@ -340,22 +345,10 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		}
 		pt := cat.Ptiles[seg][idx]
 		s.report(cat.Video.ID, seg, pt.Rect.X0+pt.Rect.W/2, pt.Rect.Y0+pt.Rect.H/2)
-		bits, err = s.enc.TileBits(video.TileSpec{
-			Rect: pt.Rect, Quality: quality, FrameRate: f, Kind: video.KindPtile,
-		}, cat.SegmentSec, sc)
+		bits, err = sim.PtileBits(s.enc, grid, pt, quality, f, cat.SegmentSec, sc)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
-		}
-		for _, block := range ptile.BackgroundBlocks(pt, grid) {
-			b, err := s.enc.TileBits(video.TileSpec{
-				Rect: block, Quality: video.MinQuality, Kind: video.KindBlock,
-			}, cat.SegmentSec, sc)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			bits += b
 		}
 	} else {
 		// Conventional request: FoV tiles at q (center supplied by the
@@ -369,37 +362,18 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		}
 		center := geom.Point{X: cx, Y: cy}
 		s.report(cat.Video.ID, seg, cx, cy)
-		// The shared FoV LUT answers membership with a bitset; the map is
-		// only needed if the grid cannot carry tile masks.
-		var fovSet geom.TileSet
-		var inFoV map[geom.TileID]bool
+		// The shared FoV LUT answers without allocating; grids too large
+		// for it take the direct tile list.
+		var nHQ int
 		if lut := geom.FoVLUTFor(grid, 100, 100); lut != nil {
-			fovSet = lut.SetAt(center)
+			nHQ = len(lut.TilesAt(center))
 		} else {
-			fov := grid.FoVTiles(center, 100, 100)
-			inFoV = make(map[geom.TileID]bool, len(fov))
-			for _, id := range fov {
-				inFoV[id] = true
-			}
+			nHQ = len(grid.FoVTiles(center, 100, 100))
 		}
-		for row := 0; row < grid.Rows; row++ {
-			for col := 0; col < grid.Cols; col++ {
-				id := geom.TileID{Row: row, Col: col}
-				tq := video.MinQuality
-				if inFoV != nil {
-					if inFoV[id] {
-						tq = quality
-					}
-				} else if fovSet.Contains(grid.Index(id)) {
-					tq = quality
-				}
-				b, err := s.enc.TileBits(video.TileSpec{Rect: grid.TileRect(id), Quality: tq}, cat.SegmentSec, sc)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				bits += b
-			}
+		bits, err = sim.GridBits(s.enc, grid, nHQ, quality, cat.SegmentSec, sc)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
 	}
 

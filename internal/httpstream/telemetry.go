@@ -8,7 +8,8 @@ import (
 // series: for every downloaded segment the client emits one TelemetryRecord
 // carrying the chosen bitrate and frame rate, the rebuffer (stall) time,
 // the QoE loss against the best version the ladder offered, and the
-// modeled transmission/decode/render energy (Eq. 1). cmd/stream prints the
+// modeled Eq. 1 energy — the session engine's numbers (sim.SegmentTrace)
+// plus the wire facts. cmd/stream prints the
 // records as JSON lines; with a registry attached, the same numbers feed
 // counters and histograms a scrape can watch live.
 
@@ -31,25 +32,20 @@ type TelemetryRecord struct {
 	Bytes int64 `json:"bytes"`
 	// StallSec is the rebuffering time charged to the segment.
 	StallSec float64 `json:"stall_sec"`
-	// QoE is the perceived quality Q(v, f) of the served version.
+	// QoE is the perceived quality Q0 the viewer saw (0 when abandoned).
 	QoE float64 `json:"qoe"`
-	// QoEBest is the best perceived quality any offered version had.
-	QoEBest float64 `json:"qoe_best"`
-	// QoELoss is (QoEBest − QoE) / QoEBest — the paper's ≤5 % constraint
-	// watches exactly this quantity. 1 for an abandoned segment.
+	// QoELoss is the served version's shortfall against the best offered
+	// version, (Q_best − Q)/Q_best (sim.SegmentTrace.QoELoss); 1 for an
+	// abandoned segment.
 	QoELoss float64 `json:"qoe_loss"`
-	// EnergyMJ is the total Eq. 1 segment energy; TxEnergyMJ and
-	// DecodeEnergyMJ split out the transmission and decode terms
-	// (render is the remainder).
-	EnergyMJ       float64 `json:"energy_mj"`
-	TxEnergyMJ     float64 `json:"tx_energy_mj"`
-	DecodeEnergyMJ float64 `json:"decode_energy_mj"`
+	// EnergyMJ is the Eq. 1 segment energy.
+	EnergyMJ float64 `json:"energy_mj"`
 	// FromPtile reports whether a Ptile served the segment.
 	FromPtile bool `json:"from_ptile"`
-	// Retries, DegradeSteps, and Abandoned are the resilience accounting.
-	Retries      int  `json:"retries"`
-	DegradeSteps int  `json:"degrade_steps,omitempty"`
-	Abandoned    bool `json:"abandoned,omitempty"`
+	// Retries, Degraded, and Abandoned are the resilience accounting.
+	Retries   int  `json:"retries"`
+	Degraded  bool `json:"degraded,omitempty"`
+	Abandoned bool `json:"abandoned,omitempty"`
 	// BufferSec is the buffer level when the download started.
 	BufferSec float64 `json:"buffer_sec"`
 	// ViewX/ViewY are the predicted viewport center the segment was fetched
@@ -70,14 +66,12 @@ func telemetryFrom(session string, videoID int, segmentSec float64, rec SegmentR
 		ThroughputMbps: rec.ThroughputBps / 1e6,
 		Bytes:          rec.Bytes,
 		StallSec:       rec.StallSec,
-		QoE:            rec.PerceivedQuality,
-		QoEBest:        rec.BestPerceivedQuality,
+		QoE:            rec.Q0,
+		QoELoss:        rec.QoELoss,
 		EnergyMJ:       rec.EnergyMJ,
-		TxEnergyMJ:     rec.TxEnergyMJ,
-		DecodeEnergyMJ: rec.DecodeEnergyMJ,
 		FromPtile:      rec.FromPtile,
 		Retries:        rec.Retries,
-		DegradeSteps:   rec.DegradeSteps,
+		Degraded:       rec.Degraded,
 		Abandoned:      rec.Abandoned,
 		BufferSec:      rec.BufferSec,
 		ViewX:          rec.ViewCenter.X,
@@ -85,11 +79,6 @@ func telemetryFrom(session string, videoID int, segmentSec float64, rec SegmentR
 	}
 	if segmentSec > 0 {
 		tr.BitrateMbps = float64(rec.Bytes) * 8 / segmentSec / 1e6
-	}
-	if rec.Abandoned {
-		tr.QoELoss = 1
-	} else if rec.BestPerceivedQuality > 0 {
-		tr.QoELoss = (rec.BestPerceivedQuality - rec.PerceivedQuality) / rec.BestPerceivedQuality
 	}
 	return tr
 }
@@ -144,7 +133,7 @@ func (o *clientObs) observe(tr TelemetryRecord) {
 		o.served.Inc()
 	}
 	o.retries.Add(float64(tr.Retries))
-	if tr.DegradeSteps > 0 {
+	if tr.Degraded {
 		o.degraded.Inc()
 	}
 	o.bytes.Add(float64(tr.Bytes))

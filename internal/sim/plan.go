@@ -20,8 +20,10 @@ type segmentPlan struct {
 	// options are the downloadable versions.
 	options []abr.OptionMeta
 	// chosenPtile is the serving Ptile (Ptile/Ours schemes, nil on
-	// fallback).
+	// fallback) and ptileIdx its index in the catalogue segment (-1 when
+	// nil).
 	chosenPtile *ptile.Ptile
+	ptileIdx    int
 	// hqTiles is the high-quality grid-tile set (Ctile and fallback). On the
 	// LUT path it aliases the shared FoVLUT slice — read-only.
 	hqTiles []geom.TileID
@@ -78,11 +80,12 @@ func (s *session) storeOptionBuf(slot int, buf []abr.OptionMeta) { s.optBufs[slo
 // struct rather than growing the array under live pointers.
 func (s *session) planBuf(slot int) *segmentPlan {
 	if slot >= len(s.planBufs) {
-		return &segmentPlan{}
+		return &segmentPlan{ptileIdx: -1}
 	}
 	p := &s.planBufs[slot]
 	p.options = nil
 	p.chosenPtile = nil
+	p.ptileIdx = -1
 	p.hqTiles = nil
 	p.hqSet = geom.TileSet{}
 	p.hasHQSet = false
@@ -126,7 +129,6 @@ func (s *session) ctilePlan(k, slot int, predCenter geom.Point, speedEst float64
 	}
 	plan.hqTiles = hq
 	tileFrac := 1.0 / float64(s.cfg.Grid.NumTiles())
-	nBG := s.cfg.Grid.NumTiles() - len(hq)
 
 	gridBits := func(v video.Quality) (float64, error) {
 		if s.tab != nil {
@@ -154,7 +156,7 @@ func (s *session) ctilePlan(k, slot int, predCenter geom.Point, speedEst float64
 		}
 		plan.options = append(plan.options, abr.OptionMeta{
 			Option:           abr.Option{Quality: v, FrameRate: s.fm},
-			SizeBits:         float64(len(hq))*tileBits + float64(nBG)*bgBits,
+			SizeBits:         gridSum(len(hq), s.cfg.Grid.NumTiles(), tileBits, bgBits),
 			PerceivedQuality: q,
 			ProcPowerMW:      proc,
 		})
@@ -302,19 +304,14 @@ func (s *session) ptilePlan(k, slot int, predCenter geom.Point, speedEst float64
 	if tab != nil {
 		bgBits = tab.bgBits
 	} else {
-		for _, block := range ptile.BackgroundBlocks(*pt, s.cfg.Grid) {
-			bits, err := s.cfg.Encoder.TileBits(video.TileSpec{
-				Rect: block, Quality: video.MinQuality, Kind: video.KindBlock,
-			}, s.cfg.SegmentSec, sc)
-			if err != nil {
-				return nil, err
-			}
-			bgBits += bits
+		var err error
+		if bgBits, err = backgroundBits(s.cfg.Encoder, s.cfg.Grid, *pt, s.cfg.SegmentSec, sc); err != nil {
+			return nil, err
 		}
 	}
 
 	plan := s.planBuf(slot)
-	plan.chosenPtile = pt
+	plan.chosenPtile, plan.ptileIdx = pt, pi
 	plan.options = s.optionBuf(slot)
 	for v := video.MinQuality; v <= video.MaxQuality; v++ {
 		for fi, f := range s.cfg.FrameRates {
@@ -348,6 +345,59 @@ func (s *session) ptilePlan(k, slot int, predCenter geom.Point, speedEst float64
 	}
 	s.storeOptionBuf(slot, plan.options)
 	return plan, nil
+}
+
+// backgroundBits is the size of a Ptile's background blocks at the lowest
+// quality and the source frame rate, summed in BackgroundBlocks order.
+func backgroundBits(enc video.EncoderConfig, grid geom.Grid, pt ptile.Ptile, l float64, sc video.SegmentContent) (float64, error) {
+	var total float64
+	for _, block := range ptile.BackgroundBlocks(pt, grid) {
+		bits, err := enc.TileBits(video.TileSpec{
+			Rect: block, Quality: video.MinQuality, Kind: video.KindBlock,
+		}, l, sc)
+		if err != nil {
+			return 0, err
+		}
+		total += bits
+	}
+	return total, nil
+}
+
+// PtileBits is the modelled size of a Ptile request, as the planner prices
+// it and the server sends it: pt at quality q and frame rate f plus its
+// background blocks.
+func PtileBits(enc video.EncoderConfig, grid geom.Grid, pt ptile.Ptile, q video.Quality, f, l float64, sc video.SegmentContent) (float64, error) {
+	bg, err := backgroundBits(enc, grid, pt, l, sc)
+	if err != nil {
+		return 0, err
+	}
+	bits, err := enc.TileBits(video.TileSpec{Rect: pt.Rect, Quality: q, FrameRate: f, Kind: video.KindPtile}, l, sc)
+	if err != nil {
+		return 0, err
+	}
+	return bits + bg, nil
+}
+
+// GridBits is the modelled size of a conventional-tile request, as the
+// planner prices it and the server sends it: nHQ grid tiles at quality q and
+// the rest of the grid at the lowest quality, all at the source frame rate.
+func GridBits(enc video.EncoderConfig, grid geom.Grid, nHQ int, q video.Quality, l float64, sc video.SegmentContent) (float64, error) {
+	frac := 1.0 / float64(grid.NumTiles())
+	hq, err := enc.RegionBits(frac, q, enc.FrameRate, video.KindGrid, l, sc)
+	if err != nil {
+		return 0, err
+	}
+	bg, err := enc.RegionBits(frac, video.MinQuality, enc.FrameRate, video.KindGrid, l, sc)
+	if err != nil {
+		return 0, err
+	}
+	return gridSum(nHQ, grid.NumTiles(), hq, bg), nil
+}
+
+// gridSum totals a conventional request: nHQ of nTiles grid tiles at
+// hqBits each, the rest at bgBits.
+func gridSum(nHQ, nTiles int, hqBits, bgBits float64) float64 {
+	return float64(nHQ)*hqBits + float64(nTiles-nHQ)*bgBits
 }
 
 // coveringPtile returns the catalogue Ptile of segment k serving a viewer

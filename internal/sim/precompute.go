@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"ptile360/internal/geom"
-	"ptile360/internal/ptile"
 	"ptile360/internal/video"
 )
 
@@ -191,15 +190,11 @@ func (c *Catalog) buildPlanTables(cfg *Config) (*planTables, error) {
 		for pi := range c.Ptiles[k] {
 			pt := &c.Ptiles[k][pi]
 			entry := &t.ptiles[k][pi]
-			for _, block := range ptile.BackgroundBlocks(*pt, cfg.Grid) {
-				bits, err := enc.TileBits(video.TileSpec{
-					Rect: block, Quality: video.MinQuality, Kind: video.KindBlock,
-				}, cfg.SegmentSec, sc)
-				if err != nil {
-					return nil, err
-				}
-				entry.bgBits += bits
+			bg, err := backgroundBits(enc, cfg.Grid, *pt, cfg.SegmentSec, sc)
+			if err != nil {
+				return nil, err
 			}
+			entry.bgBits = bg
 			for v := video.MinQuality; v <= video.MaxQuality; v++ {
 				entry.bits[int(v)-1] = make([]float64, len(t.rates))
 				for fi, f := range t.rates {

@@ -46,6 +46,12 @@ type SegmentTrace struct {
 	// Abandoned reports playback skipped the segment after the resilience
 	// ladder was exhausted.
 	Abandoned bool
+	// QoELoss is the served version's perceived-quality shortfall against
+	// the best offered version, (Q_best − Q)/Q_best as the controller saw
+	// them; 1 when abandoned. Constraint 8c bounds the loss against the best
+	// downloadable version instead, so this exceeds ε when the link cannot
+	// carry the top version.
+	QoELoss float64
 }
 
 // WriteSegmentsCSV serializes per-segment traces as CSV for external

@@ -100,6 +100,10 @@ func (st *State) BufferSec() float64 { return st.buffer }
 // Segments returns the number of segments streamed so far.
 func (st *State) Segments() int { return st.segments }
 
+// PerSegment returns the per-segment records so far (Config.RecordSegments;
+// nil otherwise). The slice is the state's own; do not modify it.
+func (st *State) PerSegment() []SegmentTrace { return st.perSegment }
+
 // EstimateBps returns the session's current bandwidth estimate in bits per
 // second, or 0 before the estimator has warmed up.
 func (st *State) EstimateBps() float64 {
@@ -318,6 +322,14 @@ type stepDelta struct {
 	hit          bool
 	fromPtile    bool
 	bd           qoe.Breakdown
+	// The fetch outcome beyond the download time: the seconds burned on
+	// failed attempts, their count, a degraded or abandoned segment, and
+	// the chosen version's QoE loss (RecordSegments only).
+	wastedSec float64
+	retries   int
+	degraded  bool
+	abandoned bool
+	qoeLoss   float64
 }
 
 // plan computes segment k = state.nextSeg's step into d without mutating
@@ -390,14 +402,40 @@ func (s *session) plan(state *State, d *stepDelta) error {
 		state.hasPrev && !decision.Emergency {
 		chosen = s.applyHysteresis(seg.options, chosen, state.prevChoice, rateEst, bufferAtRequest)
 	}
-	d.chosen = chosen
 
-	// Download over the link; a trace link was validated when the state was
-	// bound (InitState).
-	dl, err := state.link.Download(chosen.SizeBits, tReq)
+	// Fetch over the link; a trace link was validated when the state was
+	// bound (InitState). A Fetcher may deliver a cheaper rung, burn time on
+	// failed attempts, or abandon the segment.
+	var out FetchOutcome
+	if f, ok := state.link.(Fetcher); ok {
+		out, err = f.Fetch(FetchRequest{
+			Segment: k, StartSec: tReq, Options: seg.options, Chosen: chosen,
+			Ptile: seg.ptileIdx, Center: predCenter,
+		})
+	} else {
+		out.Delivered = chosen
+		out.DownloadSec, err = state.link.Download(chosen.SizeBits, tReq)
+	}
 	if err != nil {
 		return err
 	}
+	d.wastedSec, d.retries, d.degraded = out.WastedSec, out.Retries, out.Rung > 0
+	if out.Abandoned {
+		// Playback skips the segment: the deadline miss freezes the display
+		// for L on top of whatever buffer the failed attempts burned.
+		d.abandoned = true
+		d.bd.StallSec = math.Max(out.WastedSec-bufferAtRequest, 0) + s.cfg.SegmentSec
+		d.qoeLoss = 1
+		return nil
+	}
+	chosen = out.Delivered
+	d.chosen = chosen
+	if s.cfg.RecordSegments {
+		if best := bestQuality(seg.options); best > 0 {
+			d.qoeLoss = (best - chosen.PerceivedQuality) / best
+		}
+	}
+	dl := out.DownloadSec
 	d.downloadSec = dl
 	measuredRate := chosen.SizeBits / dl
 	if dl <= 0 {
@@ -427,9 +465,13 @@ func (s *session) plan(state *State, d *stepDelta) error {
 	if state.hasPrevQ0 {
 		prev = state.prevQ0
 	}
-	// The startup download (k = 0, empty buffer) is excluded from
+	// Failed attempts drain the buffer before the delivered download
+	// starts. The startup download (k = 0, empty buffer) is excluded from
 	// rebuffering, as is standard in ABR evaluation.
 	qoeBuffer := bufferAtRequest
+	if out.WastedSec > 0 {
+		qoeBuffer = math.Max(bufferAtRequest-out.WastedSec, 0)
+	}
 	if k == 0 {
 		qoeBuffer = dl + 1
 	}
@@ -440,6 +482,9 @@ func (s *session) plan(state *State, d *stepDelta) error {
 	}, s.cfg.Weights)
 	if err != nil {
 		return err
+	}
+	if out.WastedSec > bufferAtRequest {
+		d.bd.StallSec += out.WastedSec - bufferAtRequest
 	}
 	d.fromPtile = !seg.fallback && (s.cfg.Scheme == SchemePtile || s.cfg.Scheme == SchemeOurs)
 	return nil
@@ -461,34 +506,42 @@ func (s *session) apply(state *State, d *stepDelta) (StepInfo, error) {
 	if d.emergency {
 		state.emergencies++
 	}
-	state.prevChoice = d.chosen.Option
-	state.hasPrev = true
-
 	bufferAtRequest := state.buffer
-	state.tWall += d.downloadSec
-	ObservePackets(state.link, state.bw)
-	if err := state.bw.Observe(d.measuredRate); err != nil {
-		return info, err
+	if d.wastedSec > 0 {
+		state.tWall += d.wastedSec
+		state.buffer = math.Max(state.buffer-d.wastedSec, 0)
 	}
-	state.buffer = math.Max(state.buffer-d.downloadSec, 0) + s.cfg.SegmentSec
+	// An abandoned segment plays nothing: it moves no clock beyond the
+	// waste, feeds no estimator sample and leaves the choice memory alone.
+	if !d.abandoned {
+		state.prevChoice = d.chosen.Option
+		state.hasPrev = true
 
-	state.energy.Tx += d.energy.Tx
-	state.energy.Decode += d.energy.Decode
-	state.energy.Render += d.energy.Render
+		state.tWall += d.downloadSec
+		observePackets(state.link, state.bw)
+		if err := state.bw.Observe(d.measuredRate); err != nil {
+			return info, err
+		}
+		state.buffer = math.Max(state.buffer-d.downloadSec, 0) + s.cfg.SegmentSec
 
-	if d.hit {
-		state.viewportHits++
+		state.energy.Tx += d.energy.Tx
+		state.energy.Decode += d.energy.Decode
+		state.energy.Render += d.energy.Render
+
+		if d.hit {
+			state.viewportHits++
+		}
+		state.prevQ0 = d.q0
+		state.hasPrevQ0 = true
+
+		state.bits += d.chosen.SizeBits
+		state.qualitySum += float64(d.chosen.Quality)
+		state.frameRateSum += d.chosen.FrameRate
+		if d.fromPtile {
+			state.ptileSegments++
+		}
 	}
 	state.acc.Add(d.bd)
-	state.prevQ0 = d.q0
-	state.hasPrevQ0 = true
-
-	state.bits += d.chosen.SizeBits
-	state.qualitySum += float64(d.chosen.Quality)
-	state.frameRateSum += d.chosen.FrameRate
-	if d.fromPtile {
-		state.ptileSegments++
-	}
 	if s.cfg.RecordSegments {
 		state.perSegment = append(state.perSegment, SegmentTrace{
 			Segment:       k,
@@ -503,6 +556,10 @@ func (s *session) apply(state *State, d *stepDelta) (StepInfo, error) {
 			EnergyMJ:      d.energy.Total(),
 			FromPtile:     d.fromPtile,
 			Emergency:     d.emergency,
+			Retries:       d.retries,
+			Degraded:      d.degraded,
+			Abandoned:     d.abandoned,
+			QoELoss:       d.qoeLoss,
 		})
 	}
 	state.segments++
